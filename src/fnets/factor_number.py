@@ -43,7 +43,8 @@ def eigenvalue_summary(
     """Per-index eigenvalue summary used by all selection rules.
 
     Unrestricted: eigenvalues of the spectral density averaged over the
-    Fourier grid. Restricted: eigenvalues of the lag-0 sample covariance.
+    Fourier grid, from the m+1 frequencies w >= 0 (Sigma(-w) has the same
+    ones). Restricted: eigenvalues of the lag-0 sample covariance.
     Returns the descending summary and the bandwidth actually used (0 when
     restricted).
     """
@@ -57,9 +58,8 @@ def eigenvalue_summary(
         m = default_bandwidth(panel.n)
     m = min(m, panel.n - 1)
     acv = sample_acv(panel, m)
-    mats = spectral_matrices(acv, m)
-    vals = np.linalg.eigvalsh(mats)[:, ::-1]
-    return vals.mean(axis=0), m
+    vals = np.linalg.eigvalsh(spectral_matrices(acv, m)[m:])[:, ::-1]
+    return (vals[0] + 2.0 * vals[1:].sum(axis=0)) / (2 * m + 1), m
 
 
 def _penalty(variant: int, model_kind: str, n: int, p: int, m: int) -> float:

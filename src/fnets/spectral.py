@@ -24,6 +24,7 @@ class SpectralEstimate:
     ``matrices[k]`` is the Hermitian estimate at frequency ``frequencies[k]``;
     eigenvalues are stored in descending order with matching eigenvector
     columns, phase-fixed so the largest-modulus component is real positive.
+    The pairs at -w mirror those at w: equal eigenvalues, conjugate vectors.
     """
 
     bandwidth_m: int
@@ -39,7 +40,7 @@ class SpectralEstimate:
 
 @dataclass(frozen=True)
 class FactorAdjustment:
-    """Autocovariance triple (observed, common, idiosyncratic) after adjustment."""
+    """Autocovariance triple (observed, common, idiosyncratic); spectra are not kept."""
 
     q_or_r: int
     model_kind: str  # "unrestricted" | "restricted"
@@ -48,8 +49,6 @@ class FactorAdjustment:
     acv_xi: AcvSequence
     static_eigvecs: np.ndarray | None = None  # (p, r), restricted only
     static_eigvals: np.ndarray | None = None  # (r,), restricted only
-    spec_x: SpectralEstimate | None = None  # unrestricted only
-    spec_chi: SpectralEstimate | None = None  # unrestricted only
 
     @property
     def p(self) -> int:
@@ -71,54 +70,54 @@ def fourier_frequencies(m: int) -> np.ndarray:
 
 
 def spectral_matrices(acv: AcvSequence, m: int) -> np.ndarray:
-    """Bartlett-smoothed spectral density matrices, stacked over the grid."""
+    """Bartlett-smoothed spectral density matrices, stacked over the grid.
+
+    Sigma(w) = [G(0) + sum_l w_l (cos(lw) (G_l + G_l') + i sin(lw) (G_l' - G_l))]
+    / 2pi, as two real products over lags, for w >= 0 only; the negative
+    half of the grid is its conjugate mirror.
+    """
     if m < 1:
         raise DimensionError("bandwidth must be positive")
     if acv.max_lag < m:
         raise DimensionError(
             f"need autocovariances up to lag {m}, have {acv.max_lag}"
         )
-    freqs = fourier_frequencies(m)
     p = acv.p
-    out = np.zeros((2 * m + 1, p, p), dtype=complex)
-    out += acv.at(0)
-    for lag in range(1, m + 1):
-        w = 1.0 - lag / m
-        if w == 0.0:
-            continue
-        phase = np.exp(-1j * lag * freqs)
-        g = acv.at(lag)
-        out += w * (phase[:, None, None] * g + np.conj(phase)[:, None, None] * g.T)
-    out /= 2.0 * np.pi
-    return out
+    lags = np.arange(1, m)  # the kernel weight vanishes at lag m
+    g = (1.0 - lags / m)[:, None, None] * acv.matrices[1:m]
+    gt = g.transpose(0, 2, 1)
+    arg = np.outer(fourier_frequencies(m)[m:], lags)
+    real = np.cos(arg) @ (g + gt).reshape(m - 1, p * p) + acv.at(0).ravel()
+    imag = np.sin(arg) @ (gt - g).reshape(m - 1, p * p)
+    half = (real + 1j * imag).reshape(m + 1, p, p) / (2.0 * np.pi)
+    return np.concatenate([np.conj(half[:0:-1]), half])
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
     """Rotate each eigenvector so its largest-modulus entry is real positive."""
-    flat = vecs.reshape(-1, vecs.shape[-2], vecs.shape[-1])
-    out = flat.copy()
-    for i in range(flat.shape[0]):
-        v = out[i]
-        idx = np.argmax(np.abs(v), axis=0)
-        pivot = v[idx, np.arange(v.shape[1])]
-        mod = np.abs(pivot)
-        mod[mod == 0.0] = 1.0
-        out[i] = v * (np.conj(pivot) / mod)[None, :]
-    return out.reshape(vecs.shape)
+    idx = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
+    pivot = np.take_along_axis(vecs, idx, axis=-2)
+    mod = np.abs(pivot)
+    mod[mod == 0.0] = 1.0
+    return vecs * (np.conj(pivot) / mod)
 
 
 def bartlett_spectral_density(acv: AcvSequence, m: int) -> SpectralEstimate:
-    """Estimate the spectral density and eigendecompose it per frequency."""
+    """Estimate the spectral density and eigendecompose it on w >= 0.
+
+    Sigma(-w) = conj Sigma(w), so the pairs at -w are mirrored from those at
+    w; conjugation keeps the phase convention.
+    """
     mats = spectral_matrices(acv, m)
-    vals, vecs = np.linalg.eigh(mats)
+    vals, vecs = np.linalg.eigh(mats[m:])
     vals = vals[:, ::-1]
     vecs = _fix_phase(vecs[:, :, ::-1])
     return SpectralEstimate(
         bandwidth_m=m,
         frequencies=_frozen(fourier_frequencies(m)),
         matrices=mats,
-        eigenvalues=vals,
-        eigenvectors=vecs,
+        eigenvalues=np.concatenate([vals[:0:-1], vals]),
+        eigenvectors=np.concatenate([np.conj(vecs[:0:-1]), vecs]),
     )
 
 
@@ -129,12 +128,8 @@ def dynamic_pca_common(spec: SpectralEstimate, q: int) -> SpectralEstimate:
         raise DimensionError(f"factor number {q} outside 0..{p}")
     vals = spec.eigenvalues.copy()
     vals[:, q:] = 0.0
-    if q == 0:
-        mats = np.zeros_like(spec.matrices)
-    else:
-        v = spec.eigenvectors[:, :, :q]
-        w = spec.eigenvalues[:, :q]
-        mats = np.einsum("kij,kj,klj->kil", v, w, np.conj(v))
+    v = spec.eigenvectors[:, :, :q]
+    mats = (v * vals[:, None, :q]) @ np.conj(v.transpose(0, 2, 1))
     return SpectralEstimate(
         bandwidth_m=spec.bandwidth_m,
         frequencies=spec.frequencies,
@@ -147,9 +142,9 @@ def dynamic_pca_common(spec: SpectralEstimate, q: int) -> SpectralEstimate:
 def inverse_ft_acv(spec: SpectralEstimate, label: str = "chi") -> AcvSequence:
     """Invert the finite Fourier transform back to autocovariances at lags 0..m."""
     m = spec.bandwidth_m
-    lags = np.arange(m + 1)
-    phases = np.exp(1j * lags[:, None] * spec.frequencies[None, :])
-    mats = np.einsum("lk,kij->lij", phases, spec.matrices) * (
+    n_freq, p = spec.matrices.shape[:2]
+    phases = np.exp(1j * np.arange(m + 1)[:, None] * spec.frequencies[None, :])
+    mats = (phases @ spec.matrices.reshape(n_freq, -1)).reshape(m + 1, p, p) * (
         2.0 * np.pi / (2 * m + 1)
     )
     residue = float(np.max(np.abs(mats.imag))) if mats.size else 0.0
@@ -169,8 +164,7 @@ def factor_adjust_unrestricted(
     if q < 0 or q > panel.p:
         raise DimensionError(f"factor number {q} outside 0..{panel.p}")
     acv_x = sample_acv(panel, m)
-    spec_x = bartlett_spectral_density(acv_x, m)
-    spec_chi = dynamic_pca_common(spec_x, q)
+    spec_chi = dynamic_pca_common(bartlett_spectral_density(acv_x, m), q)
     acv_chi = inverse_ft_acv(spec_chi, "chi")
     acv_xi = AcvSequence("xi", m, acv_x.matrices - acv_chi.matrices)
     return FactorAdjustment(
@@ -179,8 +173,6 @@ def factor_adjust_unrestricted(
         acv_x=acv_x,
         acv_chi=acv_chi,
         acv_xi=acv_xi,
-        spec_x=spec_x,
-        spec_chi=spec_chi,
     )
 
 

@@ -12,8 +12,9 @@ from fnets.factor_number import (
     select_factor_number_er,
     select_factor_number_ic,
 )
-from fnets.panel import TimeSeriesPanel
+from fnets.panel import TimeSeriesPanel, sample_acv
 from fnets.simulate import SimSpec, sim_unrestricted, sim_var
+from fnets.spectral import spectral_matrices
 
 
 def flagship_panel(seed, n=500, p=50):
@@ -99,6 +100,13 @@ class TestSelectIc:
     def test_selection_monotone_in_c(self):
         sel = select_factor_number_ic(flagship_panel(3), variant=5)
         assert np.all(np.diff(sel.q_by_c) <= 0)
+
+    def test_summary_equals_full_grid_mean(self):
+        panel = flagship_panel(11)
+        summary, m = eigenvalue_summary(panel, "unrestricted")
+        mats = spectral_matrices(sample_acv(panel, m), m)
+        ref = np.linalg.eigvalsh(mats)[:, ::-1].mean(axis=0)
+        assert np.max(np.abs(summary - ref) / np.abs(ref)) <= 1e-10
 
     def test_tiny_c_selects_max(self):
         panel = flagship_panel(7, n=300, p=30)

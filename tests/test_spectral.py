@@ -56,13 +56,14 @@ class TestBartlett:
         assert at_zero == pytest.approx(1.5 / (2 * np.pi), abs=1e-12)
 
     def test_matches_naive_sum(self, rng):
-        x = rng.standard_normal((3, 60))
-        acv = sample_acv(make_panel(x), 6)
-        spec = bartlett_spectral_density(acv, 6)
-        acvs = list(acv.matrices)
-        for k, omega in enumerate(fourier_frequencies(6)):
-            ref = naive_spectral(acvs, 6, omega)
-            assert np.max(np.abs(spec.matrices[k] - ref)) <= 1e-12
+        for p, n, m in ((3, 60, 6), (40, 200, 17)):
+            x = rng.standard_normal((p, n))
+            acv = sample_acv(make_panel(x), m)
+            spec = bartlett_spectral_density(acv, m)
+            acvs = list(acv.matrices)
+            for k, omega in enumerate(fourier_frequencies(m)):
+                ref = naive_spectral(acvs, m, omega)
+                assert np.max(np.abs(spec.matrices[k] - ref)) <= 1e-12
 
     def test_insufficient_lags(self):
         acv = scalar_acv([1.0, 0.5])
@@ -86,6 +87,9 @@ class TestBartlett:
             vecs = spec.eigenvectors
             gram = np.einsum("kij,kil->kjl", np.conj(vecs), vecs)
             assert np.max(np.abs(gram - np.eye(p))) <= 1e-8
+            # The pairs at -w are the conjugates of those at w.
+            assert np.array_equal(spec.eigenvalues[::-1], spec.eigenvalues)
+            assert np.array_equal(vecs[::-1], np.conj(vecs))
 
     def test_eigenvector_phase_deterministic(self, rng):
         x = rng.standard_normal((4, 50))

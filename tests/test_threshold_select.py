@@ -91,15 +91,16 @@ class TestSelectThreshold:
         sel = select_threshold(equal, denominator=equal.size)
         assert np.count_nonzero(threshold_matrix(equal, sel.threshold)) == 4
 
-    def test_constant_diff_breaks_tie_left(self):
-        # A matrix engineered so the ratio falls linearly on a linear grid is
-        # hard to produce with a geometric grid; instead feed a two-point
-        # support where every candidate removes nothing until the top, then
-        # check the documented smallest-k tie-break on an all-zero CUSUM.
+    def test_equal_moduli_keep_all_at_first_maximum(self):
+        # Every entry has the same modulus, so every candidate below it keeps
+        # the whole support: the selected threshold must keep every entry, and
+        # the selection is the first maximiser of the statistic (the smallest
+        # k wins a tie).
         mat = np.full((2, 2), 0.5)
         sel = select_threshold(mat, denominator=8)
-        if np.allclose(sel.cusum, sel.cusum[0]):
-            assert sel.selected_index == 2
+        assert np.array_equal(threshold_matrix(mat, sel.threshold), mat)
+        first_max = np.flatnonzero(sel.cusum == sel.cusum.max())[0]
+        assert sel.selected_index == 2 + first_max
 
     def test_support_never_grows(self, rng):
         for _ in range(20):
