@@ -99,15 +99,15 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    doc = _load_document(args.model)
-    beta = doc.var_fit.beta
-    p = doc.mean_x.size
-    sel = select_threshold(beta, p * p * doc.var_fit.order, args.grid_size)
+    fitted = _load_model(args.model)
+    beta = fitted.var_fit.beta
+    p = fitted.p
+    sel = select_threshold(beta, p * p * fitted.var_fit.order, args.grid_size)
     nnz = int(np.count_nonzero(threshold_matrix(beta, sel.threshold)))
     sys.stdout.write(
         "Thresholded matrix\n"
         f"Threshold: {_fmt(sel.threshold)}\n"
-        f"Non-zero entries: {nnz}/{p * p * doc.var_fit.order}\n"
+        f"Non-zero entries: {nnz}/{p * p * fitted.var_fit.order}\n"
     )
     if args.dump:
         rows = ["t,ratio,cusum"]
@@ -194,7 +194,7 @@ def _cmd_factors(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_document(path: str) -> model_mod.ModelDocument:
+def _load_model(path: str) -> model_mod.FittedModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -205,23 +205,23 @@ def _load_document(path: str) -> model_mod.ModelDocument:
     return model_mod.from_document(doc)
 
 
-def _document_panel(doc: model_mod.ModelDocument, args: argparse.Namespace) -> TimeSeriesPanel:
-    path = args.newdata or args.data or doc.input_path
+def _model_panel(fitted: model_mod.FittedModel, args: argparse.Namespace) -> TimeSeriesPanel:
+    """The forecast panel, centred on its own means if the fit panel was."""
+    path = args.newdata or args.data or fitted.input_path
     if path is None:
         raise UsageError("no panel available: pass --data or --newdata")
-    raw = load_panel(path, transpose=args.transpose, center=False)
-    if raw.p != doc.mean_x.size:
+    panel = load_panel(path, transpose=args.transpose, center=bool(np.any(fitted.mean_x)))
+    if panel.p != fitted.p:
         raise UsageError(
-            f"panel has {raw.p} variables but the model stores {doc.mean_x.size}"
+            f"panel has {panel.p} variables but the model stores {fitted.p}"
         )
-    values = raw.values - doc.mean_x[:, None]
-    return TimeSeriesPanel(values, doc.mean_x, raw.var_names)
+    return panel
 
 
 def _cmd_forecast(args: argparse.Namespace) -> int:
-    doc = _load_document(args.model)
-    panel = _document_panel(doc, args)
-    result = model_mod.predict_document(doc, panel, args.ahead)
+    fitted = _load_model(args.model)
+    panel = _model_panel(fitted, args)
+    result = model_mod.predict(fitted, panel, args.ahead)
     lines = [",".join(panel.var_names)]
     for row in result.forecast:
         lines.append(",".join(_fmt(v) for v in row))
@@ -230,20 +230,20 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    doc = _load_document(args.model)
+    fitted = _load_model(args.model)
     t = args.threshold
     if t is None:
-        t = doc.var_fit.threshold if args.type == "granger" else 0.0
+        t = fitted.var_fit.threshold if args.type == "granger" else 0.0
         t = 0.0 if t is None else t
     if args.type == "granger":
-        graph = extract_granger(doc.var_fit, t)
+        graph = extract_granger(fitted.var_fit, t)
     elif args.type in ("pc", "lrpc"):
-        if doc.precision is None:
+        if fitted.precision is None:
             raise UsageError("model document has no precision block")
         mat = (
-            doc.precision.partial_cor
+            fitted.precision.partial_cor
             if args.type == "pc"
-            else doc.precision.longrun_partial_cor
+            else fitted.precision.longrun_partial_cor
         )
         if mat is None:
             raise UsageError(

@@ -1,10 +1,9 @@
-"""End-to-end fitting pipeline and the serialised model document.
+"""End-to-end fitting pipeline, the model type and its JSON document.
 
 ``fit`` chains the three estimation steps with all tuning procedures and
-returns an in-memory model; ``to_document``/``from_document`` round-trip the
-estimated quantities through a JSON schema at full double precision so that
-forecasts recomputed from a saved document match in-process results bit for
-bit.
+returns a ``FittedModel``; ``to_document``/``from_document`` round-trip its
+estimated quantities through a JSON schema at full double precision, so a
+reloaded model forecasts bit for bit like the one kept in memory.
 """
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ import datetime
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,64 +30,52 @@ from .forecast import (
 from .panel import TimeSeriesPanel
 from .precision import (
     PrecisionFit,
-    aclime,
-    clime,
     longrun_precision,
     with_partial_correlations,
 )
-from .spectral import (
-    FactorAdjustment,
-    default_bandwidth,
-    factor_adjust_restricted,
-    factor_adjust_unrestricted,
-)
+from .spectral import default_bandwidth, factor_adjust
 from .threshold_select import select_threshold
-from .tuning import TuningResult, cv_delta, cv_var, ebic_var, eta_grid, lambda_grid
-from .var import (
-    VarFit,
-    build_yule_walker,
-    dantzig_lp,
-    innovation_covariance,
-    lasso_fista,
-    threshold_matrix,
+from .tuning import (
+    TuningResult,
+    cv_delta,
+    cv_var,
+    ebic_var,
+    eta_grid,
+    fit_precision,
+    fit_var,
+    lambda_grid,
 )
+from .var import VarFit, build_yule_walker, innovation_covariance, threshold_matrix
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
 class FittedModel:
-    panel: TimeSeriesPanel
+    """Estimated model: what the document stores, plus the fit-time panel
+    and tuning records, which are ``None`` on a model loaded from JSON.
+
+    ``r_forecast`` is the static rank of the common-component predictor,
+    chosen once at fit time.
+    """
+
     model_kind: str
     q_or_r: int
+    r_forecast: int
     bandwidth: int
-    factor: FactorAdjustment
     var_fit: VarFit
     precision: PrecisionFit | None
+    mean_x: np.ndarray
+    seed: int = 111
+    input_path: str | None = None
+    panel: TimeSeriesPanel | None = None
     q_selection: FactorNumberSelection | None = None
     var_tuning: TuningResult | None = None
     eta_tuning: TuningResult | None = None
-    seed: int = 111
-    input_path: str | None = None
 
     @property
     def p(self) -> int:
-        return self.panel.p
-
-    @property
-    def n(self) -> int:
-        return self.panel.n
-
-
-def _adjust(panel, model_kind, q, bandwidth, min_lag):
-    lag = max(bandwidth, min_lag)
-    if lag > panel.n - 1:
-        raise DimensionError(
-            f"bandwidth/lag depth {lag} too large for n = {panel.n}"
-        )
-    if model_kind == "restricted":
-        return factor_adjust_restricted(panel, q, lag)
-    return factor_adjust_unrestricted(panel, q, lag)
+        return self.mean_x.size
 
 
 def fit(
@@ -146,7 +133,7 @@ def fit(
     orders = tuple(sorted(set(int(o) for o in orders)))
     if not orders or orders[0] < 1:
         raise UsageError("candidate orders must be positive integers")
-    factor = _adjust(panel, model_kind, q_used, m, max(orders))
+    factor = factor_adjust(panel, model_kind, q_used, m, max(orders))
 
     sys_top = build_yule_walker(factor.acv_xi, max(orders))
     grid = lambda_grid(sys_top, path_length, method)
@@ -164,12 +151,7 @@ def fit(
     # training segments is shrunk by the square-root sample-size ratio.
     lam_refit = lam_hat * var_tuning.refit_scale
 
-    sys = build_yule_walker(factor.acv_xi, d_hat)
-    if method == "lasso":
-        var_fit = lasso_fista(sys, lam_refit)
-    else:
-        var_fit = dantzig_lp(sys, lam_refit)
-
+    var_fit = fit_var(build_yule_walker(factor.acv_xi, d_hat), method, lam_refit)
     gamma_hat = innovation_covariance(factor.acv_xi, var_fit)
 
     t_value: float | None
@@ -187,16 +169,7 @@ def fit(
         if t_value < 0:
             raise UsageError("threshold must be non-negative")
 
-    var_fit = VarFit(
-        order=var_fit.order,
-        beta=var_fit.beta,
-        method=var_fit.method,
-        lam=var_fit.lam,
-        innovation_cov=gamma_hat,
-        threshold=t_value,
-        objective_trace=var_fit.objective_trace,
-        gram_clipped=var_fit.gram_clipped,
-    )
+    var_fit = replace(var_fit, innovation_cov=gamma_hat, threshold=t_value)
 
     precision = None
     eta_tuning = None
@@ -214,26 +187,30 @@ def fit(
             adaptive=lrpc_adaptive,
         )
         eta_hat = eta_tuning.selected_lambda * eta_tuning.refit_scale
-        if lrpc_adaptive:
-            prec = aclime(gamma_hat, eta_hat, panel.n)
-        else:
-            prec = clime(gamma_hat, eta_hat)
-        prec = longrun_precision(var_fit, prec)
-        precision = with_partial_correlations(prec)
+        prec = fit_precision(gamma_hat, eta_hat, panel.n, lrpc_adaptive)
+        precision = with_partial_correlations(longrun_precision(var_fit, prec))
+
+    # Static rank of the common-component predictor: the restricted model's
+    # factor number, otherwise selected on the lag-0 covariance.
+    if q_used == 0 or model_kind == "restricted":
+        r_forecast = q_used
+    else:
+        r_forecast = select_factor_number_ic(panel, model_kind="restricted").q_hat
 
     return FittedModel(
-        panel=panel,
         model_kind=model_kind,
         q_or_r=q_used,
+        r_forecast=r_forecast,
         bandwidth=m,
-        factor=factor,
         var_fit=var_fit,
         precision=precision,
+        mean_x=panel.mean_x,
+        seed=seed,
+        input_path=input_path,
+        panel=panel,
         q_selection=q_selection,
         var_tuning=var_tuning,
         eta_tuning=eta_tuning,
-        seed=seed,
-        input_path=input_path,
     )
 
 
@@ -249,7 +226,7 @@ def report(model: FittedModel) -> str:
     """Human-readable fit summary."""
     lines = [
         "Factor-adjusted VAR model",
-        f"n: {model.n}, p: {model.p}",
+        f"n: {model.panel.n}, p: {model.p}",
         f"Factor model: {model.model_kind}",
         f"Factor number: {model.q_or_r}",
     ]
@@ -301,10 +278,11 @@ def to_document(model: FittedModel) -> dict:
         "schema_version": SCHEMA_VERSION,
         "model_kind": model.model_kind,
         "q_or_r": model.q_or_r,
+        "r_forecast": model.r_forecast,
         "bandwidth": model.bandwidth,
         "var": var_block,
         "lrpc": lrpc_block,
-        "mean_x": model.panel.mean_x.tolist(),
+        "mean_x": model.mean_x.tolist(),
         "provenance": {
             "seed": model.seed,
             "input": model.input_path,
@@ -313,24 +291,12 @@ def to_document(model: FittedModel) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ModelDocument:
-    """Loaded JSON model; enough to reproduce forecasts and networks."""
-
-    model_kind: str
-    q_or_r: int
-    bandwidth: int
-    var_fit: VarFit
-    precision: PrecisionFit | None
-    mean_x: np.ndarray
-    seed: int
-    input_path: str | None
-
-
-def from_document(doc: dict) -> ModelDocument:
+def from_document(doc: dict) -> FittedModel:
+    """Model from its JSON document, without the panel and tuning records."""
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise UsageError(
-            f"unsupported model schema {doc.get('schema_version')!r}; expected {SCHEMA_VERSION}"
+            f"unsupported model schema {doc.get('schema_version')!r}; expected"
+            f" {SCHEMA_VERSION}: refit the model to write a current document"
         )
     var_block = doc["var"]
     var_fit = VarFit(
@@ -354,9 +320,10 @@ def from_document(doc: dict) -> ModelDocument:
                 ),
             )
         )
-    return ModelDocument(
+    return FittedModel(
         model_kind=doc["model_kind"],
         q_or_r=int(doc["q_or_r"]),
+        r_forecast=int(doc["r_forecast"]),
         bandwidth=int(doc["bandwidth"]),
         var_fit=var_fit,
         precision=precision,
@@ -386,65 +353,42 @@ def write_json(path: str, payload: dict | str | bytes) -> None:
         raise
 
 
-def predict(
-    model_kind: str,
-    q_or_r: int,
-    bandwidth: int,
-    var_fit: VarFit,
-    panel: TimeSeriesPanel,
-    horizon: int,
-) -> ForecastResult:
-    """Forecast from model parameters plus the panel the model was fit on.
+def predict(model: FittedModel, panel: TimeSeriesPanel, horizon: int) -> ForecastResult:
+    """Forecast ``horizon`` steps past the end of ``panel``.
 
     The factor adjustment is recomputed deterministically from the stored
-    settings, so a model reloaded from disk forecasts identically to one kept
-    in memory. Under the dynamic factor model the static rank used by the
-    common-component predictor is re-selected on the lag-0 covariance.
+    settings, and the common component is predicted with the stored static
+    rank, so a model reloaded from disk forecasts identically to one kept in
+    memory.
     """
     if horizon < 1:
         raise DimensionError("horizon must be at least 1")
-    if horizon > bandwidth:
+    if horizon > model.bandwidth:
         raise DimensionError(
-            f"horizon {horizon} beyond the stored bandwidth {bandwidth}"
+            f"horizon {horizon} beyond the stored bandwidth {model.bandwidth}"
         )
-    p, n = panel.p, panel.n
-    if q_or_r == 0:
-        common_is = np.zeros((p, n))
-        common_fc = np.zeros((horizon, p))
+    if model.r_forecast == 0:
+        common_is = np.zeros((panel.p, panel.n))
+        common_fc = np.zeros((horizon, panel.p))
         r_used = 0
         warning = None
     else:
-        factor = _adjust(panel, model_kind, q_or_r, bandwidth, var_fit.order)
-        if model_kind == "restricted":
-            r_fc = q_or_r
-        else:
-            r_fc = select_factor_number_ic(
-                panel, model_kind="restricted", variant=5
-            ).q_hat
+        factor = factor_adjust(
+            panel, model.model_kind, model.q_or_r, model.bandwidth, model.var_fit.order
+        )
         common_is, common_fc, r_used, warning = forecast_common_restricted(
-            factor.acv_chi, r_fc, panel, horizon
+            factor.acv_chi, model.r_forecast, panel, horizon
         )
     idio_is = panel.values - common_is
-    idio_fc = forecast_idio(var_fit, idio_is, horizon)
+    idio_fc = forecast_idio(model.var_fit, idio_is, horizon)
     return combine_forecasts(
         common_is, common_fc, idio_is, idio_fc, panel.mean_x, r_used, warning
     )
 
 
 def predict_model(model: FittedModel, horizon: int) -> ForecastResult:
-    return predict(
-        model.model_kind,
-        model.q_or_r,
-        model.bandwidth,
-        model.var_fit,
-        model.panel,
-        horizon,
-    )
+    """Forecast from the end of the panel the model was fitted on."""
+    return predict(model, model.panel, horizon)
 
 
-def predict_document(
-    doc: ModelDocument, panel: TimeSeriesPanel, horizon: int
-) -> ForecastResult:
-    return predict(
-        doc.model_kind, doc.q_or_r, doc.bandwidth, doc.var_fit, panel, horizon
-    )
+predict_document = predict

@@ -48,7 +48,6 @@ class FactorAdjustment:
     acv_chi: AcvSequence
     acv_xi: AcvSequence
     static_eigvecs: np.ndarray | None = None  # (p, r), restricted only
-    static_eigvals: np.ndarray | None = None  # (r,), restricted only
 
     @property
     def p(self) -> int:
@@ -186,13 +185,11 @@ def factor_adjust_restricted(
         raise DimensionError(f"max_lag {max_lag} outside 1..{panel.n - 1}")
     acv_x = sample_acv(panel, max_lag)
     cov = acv_x.at(0)
-    vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
-    vals = vals[::-1]
+    _, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
     vecs = _fix_phase(vecs[:, ::-1].astype(complex)).real
     lead_vecs = vecs[:, :r]
-    lead_vals = vals[:r]
     proj = lead_vecs @ lead_vecs.T
-    chi = np.einsum("ij,ljk,km->lim", proj, acv_x.matrices, proj)
+    chi = proj @ acv_x.matrices @ proj
     acv_chi = AcvSequence("chi", max_lag, chi)
     acv_xi = AcvSequence("xi", max_lag, acv_x.matrices - chi)
     return FactorAdjustment(
@@ -202,5 +199,19 @@ def factor_adjust_restricted(
         acv_chi=acv_chi,
         acv_xi=acv_xi,
         static_eigvecs=lead_vecs,
-        static_eigvals=lead_vals,
     )
+
+
+def factor_adjust(
+    panel: TimeSeriesPanel, model_kind: str, q: int, m: int, min_lag: int
+) -> FactorAdjustment:
+    """Factor adjustment of either kind, to lag max(m, min_lag).
+
+    ``m`` is the kernel bandwidth; ``min_lag`` the deepest lag the VAR needs.
+    """
+    lag = max(m, min_lag)
+    if lag > panel.n - 1:
+        raise DimensionError(f"bandwidth/lag depth {lag} too large for n = {panel.n}")
+    if model_kind == "restricted":
+        return factor_adjust_restricted(panel, q, lag)
+    return factor_adjust_unrestricted(panel, q, lag)

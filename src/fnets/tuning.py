@@ -14,15 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericalError, SolverError
+from .errors import DataError, DimensionError, NumericalError, SolverError, UsageError
 from .panel import TimeSeriesPanel
-from .precision import aclime, clime
-from .spectral import (
-    FactorAdjustment,
-    default_bandwidth,
-    factor_adjust_restricted,
-    factor_adjust_unrestricted,
-)
+from .precision import PrecisionFit, aclime, clime
+from .spectral import FactorAdjustment, default_bandwidth, factor_adjust
 from .threshold_select import select_threshold
 from .var import (
     VarFit,
@@ -85,23 +80,25 @@ def _segment_adjust(
     panel: TimeSeriesPanel, seg: range, model_kind: str, q: int, min_lag: int
 ) -> FactorAdjustment:
     sub = panel.time_slice(seg.start, seg.stop)
-    n_seg = sub.n
-    lag = max(default_bandwidth(n_seg), min_lag)
-    if lag > n_seg - 1:
-        raise DimensionError(
-            f"segment of length {n_seg} cannot support lag depth {min_lag}"
-        )
-    if model_kind == "restricted":
-        return factor_adjust_restricted(sub, q, lag)
-    return factor_adjust_unrestricted(sub, q, lag)
+    return factor_adjust(sub, model_kind, q, default_bandwidth(sub.n), min_lag)
 
 
-def _fit(sys: YuleWalkerSystem, method: str, lam: float) -> VarFit:
+def fit_var(sys: YuleWalkerSystem, method: str, lam: float) -> VarFit:
+    """Sparse VAR solve by the named method: "lasso" (FISTA) or "ds" (simplex)."""
     if method == "lasso":
         return lasso_fista(sys, lam)
     if method == "ds":
         return dantzig_lp(sys, lam)
-    raise DataError(f"unknown estimation method {method!r}")
+    raise UsageError(f"unknown estimation method {method!r}")
+
+
+def fit_precision(
+    gamma: np.ndarray, eta: float, n: int, adaptive: bool
+) -> PrecisionFit:
+    """Innovation precision by adaptive (sample size ``n``) or plain CLIME."""
+    if adaptive:
+        return aclime(gamma, eta, n)
+    return clime(gamma, eta)
 
 
 def _innovation_quadform(
@@ -175,7 +172,7 @@ def cv_var(
             sys_tr = build_yule_walker(adj_tr.acv_xi, order)
             sys_te = build_yule_walker(adj_te.acv_xi, order)
             for gi, lam in enumerate(grid):
-                fit = _fit(sys_tr, method, float(lam))
+                fit = fit_var(sys_tr, method, float(lam))
                 scores[oi, gi] += float(
                     np.trace(_innovation_quadform(fit.beta, gamma0_te, sys_te))
                 )
@@ -218,7 +215,7 @@ def cv_delta(
     for fold in folds:
         adj_tr = _segment_adjust(panel, fold.train, model_kind, q, order)
         adj_te = _segment_adjust(panel, fold.test, model_kind, q, order)
-        fit_tr = _fit(build_yule_walker(adj_tr.acv_xi, order), method, lam)
+        fit_tr = fit_var(build_yule_walker(adj_tr.acv_xi, order), method, lam)
         sys_te = build_yule_walker(adj_te.acv_xi, order)
         gamma_tr = innovation_covariance(adj_tr.acv_xi, fit_tr)
         gamma_te = _innovation_quadform(fit_tr.beta, adj_te.acv_xi.at(0), sys_te)
@@ -227,10 +224,7 @@ def cv_delta(
             if not np.isfinite(scores[gi]):
                 continue
             try:
-                if adaptive:
-                    prec = aclime(gamma_tr, float(eta), n_tr)
-                else:
-                    prec = clime(gamma_tr, float(eta))
+                prec = fit_precision(gamma_tr, float(eta), n_tr, adaptive)
             except SolverError:
                 scores[gi] = np.inf
                 continue
@@ -289,7 +283,7 @@ def ebic_var(
     for oi, order in enumerate(orders):
         sys = build_yule_walker(adj.acv_xi, order)
         for gi, lam in enumerate(grid):
-            fit = _fit(sys, method, float(lam))
+            fit = fit_var(sys, method, float(lam))
             beta = fit.beta
             if np.any(beta != 0.0):
                 t_ada = select_threshold(beta, p * p * order).threshold

@@ -103,7 +103,7 @@ class TestFitCommand:
         assert "VAR order: 1" in out
         assert "Non-zero entries:" in out
         doc = json.loads(open(model).read())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["model_kind"] == "unrestricted"
         assert np.asarray(doc["var"]["beta"]).shape == (8, 8)
         assert doc["lrpc"] is None
@@ -197,6 +197,27 @@ class TestForecastCommand:
         rows = open(out).read().strip().splitlines()
         got = np.array([float(v) for v in rows[1].split(",")])
         assert np.array_equal(got, fc.forecast[0])
+
+    def test_newdata_uses_stored_model(self, panel_csv, tmp_path, capsys):
+        from fnets import model as model_mod
+        from fnets.panel import load_panel
+
+        model = str(tmp_path / "model.json")
+        run(capsys, "fit", panel_csv, "--q", "1", "--no-lrpc", "--out", model)
+        new_csv = str(tmp_path / "new.csv")
+        run(capsys, "simulate", "--kind", "factor-var", "--n", "250", "--p", "8",
+            "--seed", "8", "--out", new_csv)
+        out = str(tmp_path / "fc.csv")
+        code, _, _ = run(
+            capsys, "forecast", "--model", model, "--newdata", new_csv,
+            "--ahead", "2", "--out", out,
+        )
+        assert code == 0
+        loaded = model_mod.from_document(json.loads(open(model).read()))
+        expect = model_mod.predict(loaded, load_panel(new_csv), 2).forecast
+        rows = open(out).read().strip().splitlines()[1:]
+        got = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert np.array_equal(got, expect)
 
     def test_shape_contract(self, panel_csv, tmp_path, capsys):
         model = str(tmp_path / "model.json")

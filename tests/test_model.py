@@ -6,7 +6,8 @@ import pytest
 from conftest import make_panel
 from fnets import model as model_mod
 from fnets.errors import DimensionError, UsageError
-from fnets.simulate import SimSpec, sim_unrestricted, sim_var
+from fnets.factor_number import select_factor_number_ic
+from fnets.simulate import SimSpec, sim_restricted, sim_unrestricted, sim_var
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +39,18 @@ class TestFit:
         fitted = model_mod.fit(panel, q=0, orders=(1,), threshold=0.05, lrpc=False)
         assert fitted.var_fit.threshold == 0.05
 
+    def test_forecast_rank_unrestricted(self, small_model):
+        expect = select_factor_number_ic(small_model.panel, "restricted").q_hat
+        assert small_model.r_forecast == expect
+
+    def test_forecast_rank_restricted_and_zero(self):
+        spec = SimSpec(n=200, p=6, q=1, seed=5)
+        panel = make_panel(sim_var(spec).data + sim_restricted(spec), center=True)
+        restricted = model_mod.fit(panel, restricted=True, q=1, lrpc=False)
+        assert restricted.r_forecast == 1
+        var_only = model_mod.fit(panel, q=0, lrpc=False)
+        assert var_only.r_forecast == 0
+
     def test_precision_invariants(self, small_model):
         prec = small_model.precision
         delta = prec.innovation_precision
@@ -66,12 +79,22 @@ class TestDocument:
         )
         assert np.array_equal(loaded.mean_x, small_model.panel.mean_x)
         assert loaded.q_or_r == small_model.q_or_r
+        assert loaded.r_forecast == small_model.r_forecast
         assert loaded.input_path == "panel.csv"
+        assert loaded.panel is None and loaded.var_tuning is None
 
     def test_schema_version_checked(self, small_model):
         doc = model_mod.to_document(small_model)
         doc["schema_version"] = 99
         with pytest.raises(UsageError):
+            model_mod.from_document(doc)
+
+    def test_version_one_document_rejected(self, small_model):
+        # A v1 document lacks the forecast rank; it must be refitted.
+        doc = model_mod.to_document(small_model)
+        doc["schema_version"] = 1
+        del doc["r_forecast"]
+        with pytest.raises(UsageError, match="refit"):
             model_mod.from_document(doc)
 
     def test_document_has_provenance(self, small_model):
@@ -105,3 +128,17 @@ class TestPredict:
         fc = model_mod.predict_model(fitted, 2)
         assert np.all(fc.common_forecast == 0.0)
         assert fc.r_used == 0
+
+    def test_predict_reuses_fitted_rank(self, small_model, monkeypatch):
+        loaded = model_mod.from_document(
+            json.loads(json.dumps(model_mod.to_document(small_model)))
+        )
+
+        def fail(*args, **kwargs):
+            raise AssertionError("predict must not re-select the rank")
+
+        monkeypatch.setattr(model_mod, "select_factor_number_ic", fail)
+        in_memory = model_mod.predict_model(small_model, 2)
+        reloaded = model_mod.predict(loaded, small_model.panel, 2)
+        assert np.array_equal(in_memory.forecast, reloaded.forecast)
+        assert in_memory.r_used == reloaded.r_used

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_panel
-from fnets.errors import DataError, DimensionError
+from fnets.errors import DataError, DimensionError, UsageError
 from fnets.panel import TimeSeriesPanel
 from fnets.simulate import SimSpec, sim_var
 from fnets.spectral import factor_adjust_unrestricted
@@ -112,6 +112,11 @@ class TestCvVar:
             tr = cv_var(panel, "unrestricted", 0, "lasso", grid, (1, 2, 3, 4), 1)
             hits += tr.selected_order == 1
         assert hits >= 7
+
+    def test_unknown_method_usage_error(self):
+        panel = oracle_panel(0)
+        with pytest.raises(UsageError):
+            cv_var(panel, "unrestricted", 0, "ridge", np.array([0.3]), (1,), 1)
 
     def test_reproducible(self):
         panel = oracle_panel(4)
