@@ -1,13 +1,20 @@
-"""Dense two-phase primal simplex for small linear programs.
+"""Dense simplex on a condensed tableau for small linear programs.
 
-Solves  min c'x  subject to  A x <= b,  x >= 0  on a full tableau. Rows with a
-negative right-hand side are negated and given artificial variables; phase one
-drives the artificials to zero, phase two optimises the true objective. The
-entering rule is steepest (most negative reduced cost); after a run of
-degenerate pivots it falls back to Bland's rule, which cannot cycle.
+Solves  min c'x  subject to  A x <= b,  x >= 0.  The tableau [T, rhs; d, -z]
+keeps only the nonbasic columns, (m+1) x (n+1), with label arrays naming the
+basic variable of each row and the nonbasic variable of each column
+(structurals 0..n-1, slacks n..n+m-1). A pivot is a Jordan exchange, which
+swaps one row label with one column label.
 
-Problem sizes here are a few hundred rows/columns at most, so a dense tableau
-is both simple and fast enough.
+The all-slack basis needs no artificial variables: with the clipped costs
+max(c, 0) it is dual feasible, so the dual simplex starts there at once
+(leave the most negative rhs, enter by the ratio test). The dual simplex is
+the primal simplex on the dual tableau (the negated transpose, with rhs and
+costs swapped), so both phases share one loop. Only when some c < 0 are the
+true reduced costs rebuilt from the labels and the primal simplex run.
+Pricing is steepest; after a run of degenerate pivots it falls back to
+Bland's rule, which cannot cycle. Every returned vertex is checked for
+feasibility.
 """
 from __future__ import annotations
 
@@ -18,50 +25,49 @@ from .errors import SolverError
 _RC_TOL = 1e-9  # reduced-cost tolerance
 _PIV_TOL = 1e-9  # smallest acceptable pivot element
 _STALL_LIMIT = 30  # degenerate pivots before switching to Bland's rule
-
-
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    basis[row] = col
+_FEAS_TOL = 1e-7  # feasibility certificate, relative to max(1, max|b|)
 
 
 def _iterate(
-    tableau: np.ndarray,
-    basis: np.ndarray,
-    allowed: np.ndarray,
-    max_iter: int,
+    tab: np.ndarray, rows: np.ndarray, cols: np.ndarray, max_iter: int, unbounded: str
 ) -> None:
-    """Run simplex iterations in place until optimal.
+    """Run primal simplex pivots on a condensed tableau in place until optimal.
 
-    ``allowed`` masks columns permitted to enter the basis (artificials are
-    barred in phase two). Raises on unboundedness or iteration exhaustion.
+    ``rows``/``cols`` label the basic and nonbasic variables and are swapped
+    at each pivot. Raises ``SolverError(unbounded)`` when an improving column
+    has no positive entry, or on iteration exhaustion.
     """
-    m = tableau.shape[0] - 1
+    m = tab.shape[0] - 1
+    costs = tab[-1, :-1]  # views: pivots update the tableau in place
+    rhs = tab[:m, -1]
     stall = 0
     use_bland = False
-    last_obj = tableau[-1, -1]
+    last_obj = tab[-1, -1]
     for _ in range(max_iter):
-        costs = tableau[-1, :-1]
-        candidates = np.where(allowed & (costs < -_RC_TOL))[0]
+        candidates = np.flatnonzero(costs < -_RC_TOL)
         if candidates.size == 0:
             return
-        col = candidates[0] if use_bland else candidates[np.argmin(costs[candidates])]
-        column = tableau[:m, col]
-        rhs = tableau[:m, -1]
-        rows = np.where(column > _PIV_TOL)[0]
-        if rows.size == 0:
-            raise SolverError("objective unbounded below")
-        ratios = rhs[rows] / column[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + _PIV_TOL]
-        # Bland tie-break: leave the variable with the smallest column label.
-        row = ties[np.argmin(basis[ties])]
-        _pivot(tableau, basis, row, col)
-        # The cell stores minus the objective, so progress means it increases.
-        obj = tableau[-1, -1]
+        # Bland enters the smallest label, steepest the most negative cost.
+        col = candidates[(cols[candidates] if use_bland else costs[candidates]).argmin()]
+        column = tab[:m, col]
+        eligible = np.flatnonzero(column > _PIV_TOL)
+        if eligible.size == 0:
+            raise SolverError(unbounded)
+        ratios = rhs[eligible] / column[eligible]
+        ties = eligible[ratios <= ratios.min() + _PIV_TOL]
+        # Bland tie-break: leave the variable with the smallest label.
+        row = ties[rows[ties].argmin()]
+        # Jordan exchange: row and column labels trade places.
+        pivot = tab[row, col]
+        pivot_row = tab[row] / pivot
+        pivot_row[col] = 1.0 / pivot
+        factors = tab[:, col].copy()
+        tab[:, col] = 0.0
+        tab -= factors[:, None] * pivot_row
+        tab[row] = pivot_row
+        rows[row], cols[col] = cols[col], rows[row]
+        # The corner stores minus the objective, so progress means it increases.
+        obj = tab[-1, -1]
         if obj > last_obj + 1e-12:
             stall = 0
             use_bland = False
@@ -76,75 +82,48 @@ def _iterate(
 def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
     """Minimise ``c @ x`` over ``a_ub @ x <= b_ub``, ``x >= 0``.
 
-    Returns the optimal x. Raises :class:`SolverError` when infeasible or
-    unbounded.
+    Returns the optimal x after checking its feasibility. Raises
+    :class:`SolverError` when infeasible or unbounded, or when the returned
+    vertex fails the feasibility certificate.
     """
     c = np.asarray(c, dtype=float)
     a = np.asarray(a_ub, dtype=float)
-    b = np.asarray(b_ub, dtype=float).copy()
+    b = np.asarray(b_ub, dtype=float)
     m, n = a.shape
     if c.shape != (n,) or b.shape != (m,):
         raise SolverError("inconsistent LP dimensions")
-
-    neg = b < 0
-    a = np.where(neg[:, None], -a, a)
-    b = np.abs(b)
-    n_art = int(neg.sum())
-
-    # Columns: n structural | m slack/surplus | n_art artificial | rhs.
-    width = n + m + n_art + 1
-    tableau = np.zeros((m + 1, width))
-    tableau[:m, :n] = a
-    tableau[:m, -1] = b
-    slack_sign = np.where(neg, -1.0, 1.0)
-    tableau[np.arange(m), n + np.arange(m)] = slack_sign
-    basis = np.empty(m, dtype=int)
-    basis[~neg] = n + np.where(~neg)[0]
-    art_cols = n + m + np.arange(n_art)
-    art_rows = np.where(neg)[0]
-    tableau[art_rows, art_cols] = 1.0
-    basis[neg] = art_cols
-
     max_iter = 200 * (m + n) + 1000
 
-    if n_art > 0:
-        # Phase one: minimise the sum of artificials.
-        tableau[-1, art_cols] = 1.0
-        tableau[-1] -= tableau[art_rows].sum(axis=0)
-        allowed = np.ones(width - 1, dtype=bool)
-        _iterate(tableau, basis, allowed, max_iter)
-        scale = max(1.0, float(np.max(b)) if m else 1.0)
-        if -tableau[-1, -1] > 1e-7 * scale:
-            raise SolverError("infeasible constraint system")
-        # Drive any artificial still in the basis out, or drop its row.
-        keep = np.ones(m, dtype=bool)
-        for row in range(m):
-            if basis[row] < n + m:
-                continue
-            pivot_cols = np.where(np.abs(tableau[row, : n + m]) > _PIV_TOL)[0]
-            if pivot_cols.size:
-                _pivot(tableau, basis, row, pivot_cols[0])
-            else:
-                keep[row] = False
-        if not np.all(keep):
-            tableau = np.vstack([tableau[:m][keep], tableau[-1]])
-            basis = basis[keep]
-            m = int(keep.sum())
+    # Dual simplex from the slack basis, run as the primal loop on the dual
+    # tableau [-A', max(c, 0); b', 0]: its rows are the primal nonbasic
+    # columns, its costs the primal right-hand side, its right-hand side
+    # the primal reduced costs, and its corner minus the primal corner.
+    dual = np.empty((n + 1, m + 1))
+    dual[:n, :m] = -a.T
+    dual[:n, m] = np.maximum(c, 0.0)
+    dual[n, :m] = b
+    dual[n, m] = 0.0
+    rows = n + np.arange(m)
+    cols = np.arange(n)
+    _iterate(dual, cols, rows, max_iter, "infeasible constraint system")
+    basic = dual[n, :m]  # values of the basic variables ``rows``
 
-    # Phase two on the true objective.
-    tableau = np.hstack([tableau[:, : n + m], tableau[:, -1:]])
-    tableau[-1, :] = 0.0
-    tableau[-1, :n] = c
-    for row in range(m):
-        coef = tableau[-1, basis[row]]
-        if coef != 0.0:
-            tableau[-1] -= coef * tableau[row]
-    allowed = np.ones(n + m, dtype=bool)
-    _iterate(tableau, basis, allowed, max_iter)
+    if np.any(c < 0):
+        # Primal phase: reduced costs of the true c from the labels.
+        tab = -dual.T.copy()
+        tab[:m, n] = basic
+        full_c = np.concatenate([c, np.zeros(m)])
+        tab[m] = np.append(full_c[cols], 0.0) - full_c[rows] @ tab[:m]
+        _iterate(tab, rows, cols, max_iter, "objective unbounded below")
+        basic = tab[:m, n]
 
     x = np.zeros(n + m)
-    x[basis[:m]] = tableau[:m, -1]
-    return x[:n]
+    x[rows] = basic
+    x = x[:n]
+    scale = _FEAS_TOL * max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    if np.max(a @ x - b, initial=0.0) > scale or -np.min(x, initial=0.0) > scale:
+        raise SolverError("simplex vertex failed feasibility certificate")
+    return x
 
 
 def solve_l1_box(a_mat: np.ndarray, rhs: np.ndarray, widths: np.ndarray) -> np.ndarray:
