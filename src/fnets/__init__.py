@@ -30,13 +30,10 @@ from .precision import (
 from .simulate import EvalMetrics, SimSpec, metrics, sim_restricted, sim_unrestricted, sim_var
 from .spectral import (
     FactorAdjustment,
-    SpectralEstimate,
     bartlett_spectral_density,
     default_bandwidth,
-    dynamic_pca_common,
     factor_adjust_restricted,
     factor_adjust_unrestricted,
-    inverse_ft_acv,
 )
 from .threshold_select import ThresholdSelection, candidate_grid, select_threshold
 from .tuning import TuningResult, cv_delta, cv_var, ebic_var, make_folds

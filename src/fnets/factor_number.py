@@ -58,7 +58,7 @@ def eigenvalue_summary(
         m = default_bandwidth(panel.n)
     m = min(m, panel.n - 1)
     acv = sample_acv(panel, m)
-    vals = np.linalg.eigvalsh(spectral_matrices(acv, m)[m:])[:, ::-1]
+    vals = np.linalg.eigvalsh(spectral_matrices(acv, m))[:, ::-1]
     return (vals[0] + 2.0 * vals[1:].sum(axis=0)) / (2 * m + 1), m
 
 

@@ -142,9 +142,7 @@ def fit(
             panel, model_kind, q_used, method, grid, orders, n_folds
         )
     else:
-        var_tuning = ebic_var(
-            panel, model_kind, q_used, method, grid, orders, alpha
-        )
+        var_tuning = ebic_var(factor.acv_xi, panel.n, method, grid, orders, alpha)
     d_hat = var_tuning.selected_order
     lam_hat = var_tuning.selected_lambda
     # The refit sees the whole sample, so the penalty tuned on the shorter

@@ -3,6 +3,8 @@
 The factor-driven component is removed in the frequency domain: smooth the
 sample autocovariances into spectral density matrices on the Fourier grid,
 keep the leading eigenpairs at every frequency, transform back, and subtract.
+Sigma(-w) is the conjugate of Sigma(w), so everything runs on the half grid
+w >= 0 and no negative frequency is ever formed.
 A time-domain variant projects on the leading eigenvectors of the lag-0
 covariance instead, for the restricted (static) factor model.
 """
@@ -13,29 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError
-from .panel import AcvSequence, TimeSeriesPanel, sample_acv, _frozen
-
-
-@dataclass(frozen=True)
-class SpectralEstimate:
-    """Spectral density matrices on the 2m+1 Fourier frequencies.
-
-    ``matrices[k]`` is the Hermitian estimate at frequency ``frequencies[k]``;
-    eigenvalues are stored in descending order with matching eigenvector
-    columns, phase-fixed so the largest-modulus component is real positive.
-    The pairs at -w mirror those at w: equal eigenvalues, conjugate vectors.
-    """
-
-    bandwidth_m: int
-    frequencies: np.ndarray  # (2m+1,)
-    matrices: np.ndarray  # (2m+1, p, p) complex
-    eigenvalues: np.ndarray  # (2m+1, p) descending
-    eigenvectors: np.ndarray  # (2m+1, p, p) columns
-
-    @property
-    def p(self) -> int:
-        return self.matrices.shape[1]
+from .errors import DimensionError
+from .panel import AcvSequence, TimeSeriesPanel, sample_acv
 
 
 @dataclass(frozen=True)
@@ -47,7 +28,6 @@ class FactorAdjustment:
     acv_x: AcvSequence
     acv_chi: AcvSequence
     acv_xi: AcvSequence
-    static_eigvecs: np.ndarray | None = None  # (p, r), restricted only
 
     @property
     def p(self) -> int:
@@ -63,17 +43,15 @@ def default_bandwidth(n: int) -> int:
 
 
 def fourier_frequencies(m: int) -> np.ndarray:
-    """The grid 2*pi*k/(2m+1) for k = -m..m."""
-    k = np.arange(-m, m + 1)
-    return 2.0 * np.pi * k / (2 * m + 1)
+    """The half grid 2*pi*k/(2m+1) for k = 0..m."""
+    return 2.0 * np.pi * np.arange(m + 1) / (2 * m + 1)
 
 
 def spectral_matrices(acv: AcvSequence, m: int) -> np.ndarray:
-    """Bartlett-smoothed spectral density matrices, stacked over the grid.
+    """Bartlett-smoothed spectral density matrices on the half grid, (m+1, p, p).
 
     Sigma(w) = [G(0) + sum_l w_l (cos(lw) (G_l + G_l') + i sin(lw) (G_l' - G_l))]
-    / 2pi, as two real products over lags, for w >= 0 only; the negative
-    half of the grid is its conjugate mirror.
+    / 2pi, as two real products over lags.
     """
     if m < 1:
         raise DimensionError("bandwidth must be positive")
@@ -85,86 +63,50 @@ def spectral_matrices(acv: AcvSequence, m: int) -> np.ndarray:
     lags = np.arange(1, m)  # the kernel weight vanishes at lag m
     g = (1.0 - lags / m)[:, None, None] * acv.matrices[1:m]
     gt = g.transpose(0, 2, 1)
-    arg = np.outer(fourier_frequencies(m)[m:], lags)
+    arg = np.outer(fourier_frequencies(m), lags)
     real = np.cos(arg) @ (g + gt).reshape(m - 1, p * p) + acv.at(0).ravel()
     imag = np.sin(arg) @ (gt - g).reshape(m - 1, p * p)
-    half = (real + 1j * imag).reshape(m + 1, p, p) / (2.0 * np.pi)
-    return np.concatenate([np.conj(half[:0:-1]), half])
+    return (real + 1j * imag).reshape(m + 1, p, p) / (2.0 * np.pi)
 
 
-def _fix_phase(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each eigenvector so its largest-modulus entry is real positive."""
-    idx = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
-    pivot = np.take_along_axis(vecs, idx, axis=-2)
-    mod = np.abs(pivot)
-    mod[mod == 0.0] = 1.0
-    return vecs * (np.conj(pivot) / mod)
+def bartlett_spectral_density(
+    acv: AcvSequence, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the spectral density on the half grid, leading pair first.
 
-
-def bartlett_spectral_density(acv: AcvSequence, m: int) -> SpectralEstimate:
-    """Estimate the spectral density and eigendecompose it on w >= 0.
-
-    Sigma(-w) = conj Sigma(w), so the pairs at -w are mirrored from those at
-    w; conjugation keeps the phase convention.
+    Returns eigenvalues (m+1, p), descending, and eigenvectors (m+1, p, p)
+    as matching columns.
     """
-    mats = spectral_matrices(acv, m)
-    vals, vecs = np.linalg.eigh(mats[m:])
-    vals = vals[:, ::-1]
-    vecs = _fix_phase(vecs[:, :, ::-1])
-    return SpectralEstimate(
-        bandwidth_m=m,
-        frequencies=_frozen(fourier_frequencies(m)),
-        matrices=mats,
-        eigenvalues=np.concatenate([vals[:0:-1], vals]),
-        eigenvectors=np.concatenate([np.conj(vecs[:0:-1]), vecs]),
-    )
-
-
-def dynamic_pca_common(spec: SpectralEstimate, q: int) -> SpectralEstimate:
-    """Rank-q reconstruction of the spectral density from its leading eigenpairs."""
-    p = spec.p
-    if q < 0 or q > p:
-        raise DimensionError(f"factor number {q} outside 0..{p}")
-    vals = spec.eigenvalues.copy()
-    vals[:, q:] = 0.0
-    v = spec.eigenvectors[:, :, :q]
-    mats = (v * vals[:, None, :q]) @ np.conj(v.transpose(0, 2, 1))
-    return SpectralEstimate(
-        bandwidth_m=spec.bandwidth_m,
-        frequencies=spec.frequencies,
-        matrices=mats,
-        eigenvalues=vals,
-        eigenvectors=spec.eigenvectors,
-    )
-
-
-def inverse_ft_acv(spec: SpectralEstimate, label: str = "chi") -> AcvSequence:
-    """Invert the finite Fourier transform back to autocovariances at lags 0..m."""
-    m = spec.bandwidth_m
-    n_freq, p = spec.matrices.shape[:2]
-    phases = np.exp(1j * np.arange(m + 1)[:, None] * spec.frequencies[None, :])
-    mats = (phases @ spec.matrices.reshape(n_freq, -1)).reshape(m + 1, p, p) * (
-        2.0 * np.pi / (2 * m + 1)
-    )
-    residue = float(np.max(np.abs(mats.imag))) if mats.size else 0.0
-    if residue > 1e-6:
-        raise NumericalError(
-            f"inverse transform left imaginary residue {residue:.3e}"
-        )
-    return AcvSequence(label, m, mats.real)
+    vals, vecs = np.linalg.eigh(spectral_matrices(acv, m))
+    return vals[:, ::-1], vecs[:, :, ::-1]
 
 
 def factor_adjust_unrestricted(
     panel: TimeSeriesPanel, q: int, m: int | None = None
 ) -> FactorAdjustment:
-    """Frequency-domain factor adjustment with q dynamic factors."""
+    """Frequency-domain factor adjustment with q dynamic factors.
+
+    The common spectrum V diag(lambda) V^H keeps the q leading eigenpairs per
+    frequency; its inverse transform over the full grid folds onto the half
+    grid as G(l) = 2pi/(2m+1) [Re S(0) + 2 sum_{k>=1} (cos(l w_k) Re S(w_k)
+    - sin(l w_k) Im S(w_k))].
+    """
     if m is None:
         m = default_bandwidth(panel.n)
     if q < 0 or q > panel.p:
         raise DimensionError(f"factor number {q} outside 0..{panel.p}")
+    p = panel.p
     acv_x = sample_acv(panel, m)
-    spec_chi = dynamic_pca_common(bartlett_spectral_density(acv_x, m), q)
-    acv_chi = inverse_ft_acv(spec_chi, "chi")
+    vals, vecs = bartlett_spectral_density(acv_x, m)
+    lead = vecs[:, :, :q]
+    common = (lead * vals[:, None, :q]) @ np.conj(lead.transpose(0, 2, 1))
+    common = common.reshape(m + 1, p * p)
+    k = np.arange(m + 1)
+    arg = np.outer(k, fourier_frequencies(m))  # rows are lags 0..m
+    # Each w > 0 also stands for -w.
+    weight = np.where(k == 0, 1.0, 2.0) * (2.0 * np.pi / (2 * m + 1))
+    chi = (np.cos(arg) * weight) @ common.real - (np.sin(arg) * weight) @ common.imag
+    acv_chi = AcvSequence("chi", m, chi.reshape(m + 1, p, p))
     acv_xi = AcvSequence("xi", m, acv_x.matrices - acv_chi.matrices)
     return FactorAdjustment(
         q_or_r=q,
@@ -186,8 +128,7 @@ def factor_adjust_restricted(
     acv_x = sample_acv(panel, max_lag)
     cov = acv_x.at(0)
     _, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
-    vecs = _fix_phase(vecs[:, ::-1].astype(complex)).real
-    lead_vecs = vecs[:, :r]
+    lead_vecs = vecs[:, ::-1][:, :r]
     proj = lead_vecs @ lead_vecs.T
     chi = proj @ acv_x.matrices @ proj
     acv_chi = AcvSequence("chi", max_lag, chi)
@@ -198,7 +139,6 @@ def factor_adjust_restricted(
         acv_x=acv_x,
         acv_chi=acv_chi,
         acv_xi=acv_xi,
-        static_eigvecs=lead_vecs,
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError, NumericalError, SolverError, UsageError
-from .panel import TimeSeriesPanel
+from .panel import AcvSequence, TimeSeriesPanel
 from .precision import PrecisionFit, aclime, clime
 from .spectral import FactorAdjustment, default_bandwidth, factor_adjust
 from .threshold_select import select_threshold
@@ -262,9 +262,8 @@ def log_binomial(total: int, chosen: int) -> float:
 
 
 def ebic_var(
-    panel: TimeSeriesPanel,
-    model_kind: str,
-    q: int,
+    acv_xi: AcvSequence,
+    n: int,
     method: str,
     grid: np.ndarray,
     orders: tuple[int, ...],
@@ -272,16 +271,17 @@ def ebic_var(
 ) -> TuningResult:
     """Extended information criterion over the penalty grid and orders.
 
+    ``acv_xi`` is the idiosyncratic autocovariance of the fit's own factor
+    adjustment, to lag at least max(orders), estimated from n observations.
     Coefficients are hard-thresholded at the adaptive threshold before the
     support is counted and the quadratic loss evaluated.
     """
     orders = tuple(sorted(orders))
-    n, p = panel.n, panel.p
-    adj = _segment_adjust(panel, range(0, n), model_kind, q, max(orders))
-    gamma0 = adj.acv_xi.at(0)
+    p = acv_xi.p
+    gamma0 = acv_xi.at(0)
     scores = np.zeros((len(orders), len(grid)))
     for oi, order in enumerate(orders):
-        sys = build_yule_walker(adj.acv_xi, order)
+        sys = build_yule_walker(acv_xi, order)
         for gi, lam in enumerate(grid):
             fit = fit_var(sys, method, float(lam))
             beta = fit.beta

@@ -33,6 +33,27 @@ def naive_spectral(acvs: list[np.ndarray], m: int, omega: float) -> np.ndarray:
     return out / (2.0 * np.pi)
 
 
+def naive_factor_adjust(acvs: list[np.ndarray], m: int, q: int) -> np.ndarray:
+    """Common-component autocovariances at lags 0..m by dynamic PCA.
+
+    Every frequency 2*pi*k/(2m+1), k = -m..m, gets its own spectral matrix and
+    eigendecomposition; the q leading eigenpairs are summed back with
+    exp(i lag w) weights. Returned complex, so callers can see that the
+    imaginary part cancels.
+    """
+    p = acvs[0].shape[0]
+    out = np.zeros((m + 1, p, p), dtype=complex)
+    for k in range(-m, m + 1):
+        omega = 2.0 * np.pi * k / (2 * m + 1)
+        vals, vecs = np.linalg.eigh(naive_spectral(acvs, m, omega))
+        common = np.zeros((p, p), dtype=complex)
+        for j in range(p - q, p):  # eigh sorts ascending
+            common += vals[j] * np.outer(vecs[:, j], np.conj(vecs[:, j]))
+        for lag in range(m + 1):
+            out[lag] += common * np.exp(1j * lag * omega)
+    return out * (2.0 * np.pi / (2 * m + 1))
+
+
 def min_l1_over_polytope(f_mat: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]:
     """Exhaustive minimiser of |v|_1 over {v: f_mat v <= h}.
 

@@ -14,7 +14,7 @@ from fnets.factor_number import (
 )
 from fnets.panel import TimeSeriesPanel, sample_acv
 from fnets.simulate import SimSpec, sim_unrestricted, sim_var
-from fnets.spectral import spectral_matrices
+from oracles import naive_spectral
 
 
 def flagship_panel(seed, n=500, p=50):
@@ -104,8 +104,9 @@ class TestSelectIc:
     def test_summary_equals_full_grid_mean(self):
         panel = flagship_panel(11)
         summary, m = eigenvalue_summary(panel, "unrestricted")
-        mats = spectral_matrices(sample_acv(panel, m), m)
-        ref = np.linalg.eigvalsh(mats)[:, ::-1].mean(axis=0)
+        acvs = list(sample_acv(panel, m).matrices)
+        mats = [naive_spectral(acvs, m, 2 * np.pi * k / (2 * m + 1)) for k in range(-m, m + 1)]
+        ref = np.linalg.eigvalsh(np.array(mats))[:, ::-1].mean(axis=0)
         assert np.max(np.abs(summary - ref) / np.abs(ref)) <= 1e-10
 
     def test_tiny_c_selects_max(self):

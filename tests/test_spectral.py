@@ -7,13 +7,17 @@ from fnets.panel import AcvSequence, sample_acv
 from fnets.spectral import (
     bartlett_spectral_density,
     default_bandwidth,
-    dynamic_pca_common,
     factor_adjust_restricted,
     factor_adjust_unrestricted,
     fourier_frequencies,
-    inverse_ft_acv,
+    spectral_matrices,
 )
-from oracles import hermitian_embedding_eigvals, naive_spectral
+from oracles import (
+    hermitian_embedding_eigvals,
+    naive_acv,
+    naive_factor_adjust,
+    naive_spectral,
+)
 
 
 def scalar_acv(values):
@@ -41,29 +45,30 @@ class TestDefaultBandwidth:
 class TestBartlett:
     def test_white_noise_flat_spectrum(self):
         acv = scalar_acv([1.0, 0.0, 0.0, 0.0])
-        spec = bartlett_spectral_density(acv, 3)
-        assert np.allclose(spec.matrices, 1.0 / (2 * np.pi))
+        mats = spectral_matrices(acv, 3)
+        assert mats.shape == (4, 1, 1)  # the half grid w_0..w_3
+        assert np.allclose(mats, 1.0 / (2 * np.pi))
 
     def test_bandwidth_one_kernel_endpoint(self):
         acv = scalar_acv([2.0, 0.7])
-        spec = bartlett_spectral_density(acv, 1)
-        assert np.allclose(spec.matrices, 2.0 / (2 * np.pi))
+        assert np.allclose(spectral_matrices(acv, 1), 2.0 / (2 * np.pi))
 
     def test_scalar_fourier_sum(self):
         acv = scalar_acv([1.0, 0.5, 0.0])
-        spec = bartlett_spectral_density(acv, 2)
-        at_zero = spec.matrices[2][0, 0]  # frequency index k = 0
+        at_zero = spectral_matrices(acv, 2)[0][0, 0]  # frequency index k = 0
         assert at_zero == pytest.approx(1.5 / (2 * np.pi), abs=1e-12)
 
     def test_matches_naive_sum(self, rng):
         for p, n, m in ((3, 60, 6), (40, 200, 17)):
             x = rng.standard_normal((p, n))
             acv = sample_acv(make_panel(x), m)
-            spec = bartlett_spectral_density(acv, m)
+            mats = spectral_matrices(acv, m)
             acvs = list(acv.matrices)
-            for k, omega in enumerate(fourier_frequencies(m)):
+            freqs = fourier_frequencies(m)
+            assert np.allclose(freqs, 2 * np.pi * np.arange(m + 1) / (2 * m + 1))
+            for k, omega in enumerate(freqs):
                 ref = naive_spectral(acvs, m, omega)
-                assert np.max(np.abs(spec.matrices[k] - ref)) <= 1e-12
+                assert np.max(np.abs(mats[k] - ref)) <= 1e-12
 
     def test_insufficient_lags(self):
         acv = scalar_acv([1.0, 0.5])
@@ -76,30 +81,16 @@ class TestBartlett:
             n = int(rng.integers(10, 40))
             x = rng.standard_normal((p, n))
             m = min(default_bandwidth(n), n - 1)
-            spec = bartlett_spectral_density(sample_acv(make_panel(x), m), m)
-            mats = spec.matrices
+            acv = sample_acv(make_panel(x), m)
+            mats = spectral_matrices(acv, m)
+            vals, vecs = bartlett_spectral_density(acv, m)
+            assert vals.shape == (m + 1, p) and vecs.shape == (m + 1, p, p)
             herm = np.max(np.abs(mats - np.conj(np.transpose(mats, (0, 2, 1)))))
             assert herm <= 1e-10
-            assert spec.eigenvalues.min() >= -1e-8
-            flipped = np.conj(mats[::-1])
-            assert np.max(np.abs(mats - flipped)) <= 1e-10
-            assert np.all(np.diff(spec.eigenvalues, axis=1) <= 1e-12)
-            vecs = spec.eigenvectors
+            assert vals.min() >= -1e-8
+            assert np.all(np.diff(vals, axis=1) <= 1e-12)
             gram = np.einsum("kij,kil->kjl", np.conj(vecs), vecs)
             assert np.max(np.abs(gram - np.eye(p))) <= 1e-8
-            # The pairs at -w are the conjugates of those at w.
-            assert np.array_equal(spec.eigenvalues[::-1], spec.eigenvalues)
-            assert np.array_equal(vecs[::-1], np.conj(vecs))
-
-    def test_eigenvector_phase_deterministic(self, rng):
-        x = rng.standard_normal((4, 50))
-        spec = bartlett_spectral_density(sample_acv(make_panel(x), 5), 5)
-        for k in range(spec.matrices.shape[0]):
-            for j in range(4):
-                v = spec.eigenvectors[k, :, j]
-                pivot = v[np.argmax(np.abs(v))]
-                assert abs(pivot.imag) <= 1e-12
-                assert pivot.real > 0
 
     def test_eigensolver_against_embedding(self, rng):
         for _ in range(25):
@@ -115,105 +106,33 @@ class TestBartlett:
 
 
 class TestDynamicPca:
-    def test_zero_factors(self):
-        acv = scalar_acv([1.0, 0.5, 0.2, 0.0])
-        spec = bartlett_spectral_density(acv, 3)
-        common = dynamic_pca_common(spec, 0)
-        assert np.all(common.matrices == 0)
-
     def test_full_rank_reconstruction(self, rng):
         x = rng.standard_normal((4, 50))
-        spec = bartlett_spectral_density(sample_acv(make_panel(x), 5), 5)
-        common = dynamic_pca_common(spec, 4)
-        assert np.max(np.abs(common.matrices - spec.matrices)) <= 1e-10
+        acv = sample_acv(make_panel(x), 5)
+        vals, vecs = bartlett_spectral_density(acv, 5)
+        recon = (vecs * vals[:, None, :]) @ np.conj(vecs.transpose(0, 2, 1))
+        assert np.max(np.abs(recon - spectral_matrices(acv, 5))) <= 1e-10
 
     def test_leading_eigenpair_diagonal(self):
-        mats = np.tile(np.diag([3.0, 1.0]).astype(complex), (3, 1, 1))
-        from fnets.spectral import SpectralEstimate
-
-        vals = np.tile(np.array([3.0, 1.0]), (3, 1))
-        vecs = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
-        spec = SpectralEstimate(1, fourier_frequencies(1), mats, vals, vecs)
-        common = dynamic_pca_common(spec, 1)
-        assert np.allclose(common.matrices, np.diag([3.0, 0.0]))
-
-    def test_eigenvalue_prefix_property(self, rng):
-        for _ in range(20):
-            x = rng.standard_normal((4, 40))
-            spec = bartlett_spectral_density(sample_acv(make_panel(x), 4), 4)
-            q = int(rng.integers(0, 5))
-            common = dynamic_pca_common(spec, q)
-            if q > 0:
-                assert np.max(np.abs(common.eigenvalues[:, :q] - spec.eigenvalues[:, :q])) <= 1e-9
-            assert np.all(common.eigenvalues[:, q:] == 0)
+        acv = AcvSequence("x", 1, np.array([np.diag([3.0, 1.0]), np.zeros((2, 2))]))
+        vals, vecs = bartlett_spectral_density(acv, 1)
+        assert np.allclose(vals, np.array([3.0, 1.0]) / (2 * np.pi))
+        assert np.allclose(np.abs(vecs[:, :, 0]), [1.0, 0.0])
 
     def test_too_many_factors(self, rng):
-        spec = bartlett_spectral_density(
-            sample_acv(make_panel(rng.standard_normal((2, 20))), 3), 3
-        )
+        panel = make_panel(rng.standard_normal((2, 20)))
         with pytest.raises(DimensionError):
-            dynamic_pca_common(spec, 3)
+            factor_adjust_unrestricted(panel, 3, 3)
 
 
 class TestInverseFt:
-    def test_constant_spectrum(self):
-        from fnets.spectral import SpectralEstimate
-
-        m = 3
-        c = np.array([[2.0, 0.5], [0.5, 1.0]], dtype=complex)
-        mats = np.tile(c, (2 * m + 1, 1, 1))
-        vals, vecs = np.linalg.eigh(mats)
-        spec = SpectralEstimate(
-            m, fourier_frequencies(m), mats, vals[:, ::-1], vecs[:, :, ::-1]
-        )
-        acv = inverse_ft_acv(spec)
-        assert np.max(np.abs(acv.at(0) - 2 * np.pi * c.real)) <= 1e-10
-        for lag in range(1, m + 1):
-            assert np.max(np.abs(acv.at(lag))) <= 1e-10
-
-    def test_round_trip_recovers_kernel_weighted_acv(self, rng):
-        x = rng.standard_normal((3, 80))
-        m = 5
-        acv = sample_acv(make_panel(x), m)
-        spec = bartlett_spectral_density(acv, m)
-        back = inverse_ft_acv(dynamic_pca_common(spec, 3))
-        for lag in range(m + 1):
-            w = 1.0 - lag / m
-            assert np.max(np.abs(back.at(lag) - w * acv.at(lag))) <= 1e-9
-
-    def test_zero_spectrum(self):
-        from fnets.spectral import SpectralEstimate
-
-        m = 2
-        mats = np.zeros((5, 2, 2), dtype=complex)
-        spec = SpectralEstimate(
-            m,
-            fourier_frequencies(m),
-            mats,
-            np.zeros((5, 2)),
-            np.tile(np.eye(2, dtype=complex), (5, 1, 1)),
-        )
-        acv = inverse_ft_acv(spec)
-        assert np.all(acv.matrices == 0)
-
-    def test_imaginary_residue_rejected(self):
-        # Break conjugate symmetry across frequencies: the inverse transform
-        # of a one-sided spike is genuinely complex.
-        from fnets.errors import NumericalError
-        from fnets.spectral import SpectralEstimate
-
-        m = 2
-        mats = np.zeros((5, 1, 1), dtype=complex)
-        mats[4, 0, 0] = 1.0  # only the positive frequency carries mass
-        spec = SpectralEstimate(
-            m,
-            fourier_frequencies(m),
-            mats,
-            np.zeros((5, 1)),
-            np.ones((5, 1, 1), dtype=complex),
-        )
-        with pytest.raises(NumericalError):
-            inverse_ft_acv(spec)
+    def test_constant_spectrum(self, rng):
+        # At bandwidth 1 the kernel keeps only lag 0, so the spectrum is
+        # G(0) / 2pi at every frequency and its inverse has no lag-1 part.
+        panel = make_panel(rng.standard_normal((2, 40)))
+        fa = factor_adjust_unrestricted(panel, 2, 1)
+        assert np.max(np.abs(fa.acv_chi.at(0) - fa.acv_x.at(0))) <= 1e-12
+        assert np.max(np.abs(fa.acv_chi.at(1))) <= 1e-12
 
 
 class TestFactorAdjust:
@@ -233,17 +152,16 @@ class TestFactorAdjust:
         assert np.max(np.abs(fa.acv_xi.at(0))) <= 1e-9
 
     def test_pipeline_decomposition_oracle(self, rng):
-        panel = make_panel(rng.standard_normal((5, 200)), center=True)
-        m = 7
-        fa = factor_adjust_unrestricted(panel, 1, m)
-        acv = sample_acv(panel, m)
-        spec = bartlett_spectral_density(acv, m)
-        common = dynamic_pca_common(spec, 1)
-        chi = inverse_ft_acv(common)
-        assert np.max(np.abs(fa.acv_chi.matrices - chi.matrices)) <= 1e-10
-        # Stored as the difference, so this direction is exact.
-        assert np.array_equal(fa.acv_xi.matrices, fa.acv_x.matrices - fa.acv_chi.matrices)
-        assert np.max(np.abs(fa.acv_x.matrices - (fa.acv_chi.matrices + fa.acv_xi.matrices))) <= 1e-10
+        # Against dynamic PCA over the full grid, including q = 0 and q = p.
+        for p, m, q in ((1, 2, 0), (1, 2, 1), (3, 1, 1), (3, 4, 0), (3, 4, 3),
+                        (5, 7, 1), (5, 7, 2), (6, 5, 6)):
+            x = rng.standard_normal((p, 80)) + rng.standard_normal((p, 1)) * rng.standard_normal(80)
+            panel = make_panel(x, center=True)
+            fa = factor_adjust_unrestricted(panel, q, m)
+            ref = naive_factor_adjust([naive_acv(panel.values, lag) for lag in range(m + 1)], m, q)
+            assert np.max(np.abs(fa.acv_chi.matrices - ref)) <= 1e-12
+            # Stored as the difference, so this direction is exact.
+            assert np.array_equal(fa.acv_xi.matrices, fa.acv_x.matrices - fa.acv_chi.matrices)
 
     def test_restricted_r_zero_and_full(self, rng):
         panel = make_panel(rng.standard_normal((4, 60)))
@@ -253,19 +171,14 @@ class TestFactorAdjust:
         assert np.max(np.abs(full.acv_xi.matrices)) <= 1e-10
 
     def test_restricted_hand_projection(self):
-        # Axis-aligned eigenvectors: projector keeps the first coordinate only.
-        mats = np.array([np.diag([4.0, 1.0]), np.eye(2)])
-        acv = AcvSequence("x", 1, mats)
-        from fnets.spectral import _fix_phase  # reuse the sign convention
-
-        cov = acv.at(0)
-        vals, vecs = np.linalg.eigh(cov)
-        assert vals[::-1][0] == 4.0
-        panel = make_panel(np.array([[1.0, -1.0, 1.0, -1.0], [0.5, -0.5, 0.5, -0.5]]))
-        fa = factor_adjust_restricted(panel, 1, 1)
-        proj = fa.static_eigvecs @ fa.static_eigvecs.T
-        expect_chi = proj @ fa.acv_x.at(1) @ proj
-        assert np.max(np.abs(fa.acv_chi.at(1) - expect_chi)) <= 1e-12
+        # Uncorrelated rows with variances 4 and 1: the leading static
+        # eigenvector is the first axis, so the projector is diag(1, 0).
+        x = np.array([[2.0, -2.0] * 4, [1.0, 1.0, -1.0, -1.0] * 2])
+        assert np.array_equal(naive_acv(x, 0), np.diag([4.0, 1.0]))
+        fa = factor_adjust_restricted(make_panel(x), 1, 1)
+        keep = np.diag([1.0, 0.0])
+        assert np.max(np.abs(fa.acv_chi.at(0) - np.diag([4.0, 0.0]))) <= 1e-12
+        assert np.max(np.abs(fa.acv_chi.at(1) - keep @ naive_acv(x, 1) @ keep)) <= 1e-12
 
     def test_restricted_projection_explicit_values(self):
         vec = np.array([2.0, 1.0]) / np.sqrt(5.0)

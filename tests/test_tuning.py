@@ -6,8 +6,9 @@ import pytest
 from conftest import make_panel
 from fnets.errors import DataError, DimensionError, UsageError
 from fnets.panel import TimeSeriesPanel
-from fnets.simulate import SimSpec, sim_var
-from fnets.spectral import factor_adjust_unrestricted
+from fnets.model import fit
+from fnets.simulate import SimSpec, sim_unrestricted, sim_var
+from fnets.spectral import factor_adjust, factor_adjust_unrestricted
 from fnets.tuning import (
     cv_delta,
     cv_var,
@@ -180,7 +181,7 @@ class TestEbic:
         panel = oracle_panel(5)
         fa = factor_adjust_unrestricted(panel, 0)
         grid = lambda_grid(build_yule_walker(fa.acv_xi, 2), 4, "lasso")
-        t0 = ebic_var(panel, "unrestricted", 0, "lasso", grid, (1, 2), alpha=0.0)
+        t0 = ebic_var(fa.acv_xi, panel.n, "lasso", grid, (1, 2), alpha=0.0)
         assert np.all(np.isfinite(t0.score_surface))
 
     def test_support_non_increasing_in_alpha(self):
@@ -189,7 +190,7 @@ class TestEbic:
         grid = lambda_grid(build_yule_walker(fa.acv_xi, 2), 6, "lasso")
         sizes = []
         for alpha in (0.0, 0.5, 1.0):
-            tr = ebic_var(panel, "unrestricted", 0, "lasso", grid, (1, 2), alpha=alpha)
+            tr = ebic_var(fa.acv_xi, panel.n, "lasso", grid, (1, 2), alpha=alpha)
             sys = build_yule_walker(fa.acv_xi, tr.selected_order)
             from fnets.var import lasso_fista, threshold_matrix
             from fnets.threshold_select import select_threshold
@@ -202,3 +203,14 @@ class TestEbic:
                 s = 0
             sizes.append(s)
         assert sizes[0] >= sizes[1] >= sizes[2]
+
+    def test_scores_the_fit_bandwidth(self):
+        # At the top of the lambda grid beta is zero, so the score is
+        # n/2 log tr Gamma_xi(0) of the adjustment at the fit's bandwidth,
+        # not at the default one (m = 14 for n = 300).
+        spec = SimSpec(n=300, p=20, seed=3)
+        panel = make_panel(sim_var(spec).data + sim_unrestricted(spec), center=True)
+        model = fit(panel, q=2, tuning="ebic", bandwidth=6, lrpc=False)
+        gamma0 = factor_adjust(panel, "unrestricted", 2, 6, 1).acv_xi.at(0)
+        expect = panel.n / 2.0 * math.log(np.trace(gamma0))
+        assert model.var_tuning.score_surface[0, 0] == pytest.approx(expect, rel=1e-12)
