@@ -15,7 +15,7 @@ from .factor_number import (
     select_factor_number_er,
     select_factor_number_ic,
 )
-from .forecast import ForecastResult, forecast_common_restricted, forecast_idio
+from .forecast import ForecastResult, common_predictor, forecast_common_restricted, forecast_idio
 from .model import FittedModel, fit, predict, predict_model, to_document, from_document
 from .networks import NetworkGraph, export, extract_granger, extract_undirected
 from .panel import AcvSequence, TimeSeriesPanel, load_panel, sample_acv

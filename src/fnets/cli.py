@@ -210,12 +210,7 @@ def _model_panel(fitted: model_mod.FittedModel, args: argparse.Namespace) -> Tim
     path = args.newdata or args.data or fitted.input_path
     if path is None:
         raise UsageError("no panel available: pass --data or --newdata")
-    panel = load_panel(path, transpose=args.transpose, center=bool(np.any(fitted.mean_x)))
-    if panel.p != fitted.p:
-        raise UsageError(
-            f"panel has {panel.p} variables but the model stores {fitted.p}"
-        )
-    return panel
+    return load_panel(path, transpose=args.transpose, center=bool(np.any(fitted.mean_x)))
 
 
 def _cmd_forecast(args: argparse.Namespace) -> int:

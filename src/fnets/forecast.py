@@ -2,9 +2,10 @@
 
 The common component is predicted through the static-representation formula:
 cross-covariance at the horizon times the pseudo-inverse projection built
-from the leading eigenpairs of the common lag-0 covariance. The idiosyncratic
-component iterates the fitted VAR, feeding forecasts back in as they become
-available. Sample means are re-added at the end.
+from the leading eigenpairs of the common lag-0 covariance, built once at fit
+time so that a forecast is matrix products only. The idiosyncratic component
+iterates the fitted VAR, feeding forecasts back in as they become available.
+Sample means are re-added at the end.
 """
 from __future__ import annotations
 
@@ -30,55 +31,72 @@ class ForecastResult:
     rank_warning: str | None = None
 
 
-def forecast_common_restricted(
-    acv_chi: AcvSequence,
-    r: int,
-    panel: TimeSeriesPanel,
-    horizon: int,
-) -> tuple[np.ndarray, np.ndarray, int, str | None]:
-    """In-sample common component and its horizon forecasts.
+@dataclass(frozen=True)
+class CommonPredictor:
+    """Common-component predictor; rank zero gives zero-width arrays, which
+    predict zeros through the same products."""
 
-    Returns (insample p x n, forecasts horizon x p, retained rank, warning).
-    At horizon zero the estimator reduces to the orthogonal projection on the
-    leading eigenvectors, which is what the in-sample matrix holds.
+    basis: np.ndarray  # (p, r_used) retained leading eigenvectors E of Gamma_chi(0)
+    inv_vals: np.ndarray  # (r_used,) reciprocals of their eigenvalues
+    cross: np.ndarray  # (depth, p, r_used) Gamma_chi(-a) E for a = 1..depth
+    rank_warning: str | None = None
+
+    @property
+    def r_used(self) -> int:
+        return self.basis.shape[1]
+
+
+def common_predictor(acv_chi: AcvSequence, r: int, depth: int) -> CommonPredictor:
+    """Predictor of rank ``r`` for horizons up to ``depth`` from the common ACV.
+
+    Leading eigenvalues below 1e-10 of the largest are dropped, with a warning.
     """
-    p, n = panel.p, panel.n
+    p = acv_chi.p
     if r < 0 or r > p:
         raise DimensionError(f"factor number {r} outside 0..{p}")
-    if horizon < 0:
-        raise DimensionError("horizon must be non-negative")
-    if horizon > acv_chi.max_lag:
+    if depth > acv_chi.max_lag:
         raise DimensionError(
-            f"horizon {horizon} beyond stored common autocovariance lag {acv_chi.max_lag}"
-        )
-    if r == 0:
-        return (
-            np.zeros((p, n)),
-            np.zeros((horizon, p)),
-            0,
-            None,
+            f"depth {depth} beyond stored common autocovariance lag {acv_chi.max_lag}"
         )
     cov0 = acv_chi.at(0)
     vals, vecs = np.linalg.eigh((cov0 + cov0.T) / 2.0)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    lead = vals[:r]
-    if lead[0] <= 0.0:
+    lead = vals[::-1][:r]
+    if r and lead[0] <= 0.0:
         raise DataError("common covariance has no positive eigenvalue to retain")
-    keep = lead > 1e-10 * lead[0]
+    keep = lead > 1e-10 * vals[-1]
     warning = None
     r_used = int(keep.sum())
     if r_used < r:
-        warning = f"dropped {r - keep.sum()} near-zero eigenvalues; rank reduced to {r_used}"
-    basis = vecs[:, :r][:, keep]
-    inv_vals = 1.0 / lead[keep]
+        warning = f"dropped {r - r_used} near-zero eigenvalues; rank reduced to {r_used}"
+    # C-contiguous, like the arrays read back from a document, so both
+    # forecast through the same products bit for bit.
+    basis = np.ascontiguousarray(vecs[:, ::-1][:, :r][:, keep])
+    cross = acv_chi.matrices[1 : depth + 1].transpose(0, 2, 1) @ basis
+    return CommonPredictor(basis, 1.0 / lead[keep], cross, warning)
+
+
+def forecast_common_restricted(
+    predictor: CommonPredictor, panel: TimeSeriesPanel, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """In-sample common component (p x n) and its horizon forecasts (horizon x p).
+
+    At horizon zero the estimator reduces to the orthogonal projection on the
+    retained eigenvectors, which is what the in-sample matrix holds.
+    """
+    basis = predictor.basis
+    if panel.p != basis.shape[0]:
+        raise DimensionError(
+            f"panel has {panel.p} variables but the model stores {basis.shape[0]}"
+        )
+    if horizon < 0:
+        raise DimensionError("horizon must be non-negative")
+    if horizon > predictor.cross.shape[0]:
+        raise DimensionError(
+            f"horizon {horizon} beyond the stored bandwidth {predictor.cross.shape[0]}"
+        )
     insample = basis @ (basis.T @ panel.values)
-    fc = np.empty((horizon, p))
-    last = panel.values[:, -1]
-    weights = inv_vals * (basis.T @ last)
-    for a in range(1, horizon + 1):
-        fc[a - 1] = acv_chi.at(-a) @ (basis @ weights)
-    return insample, fc, r_used, warning
+    weights = predictor.inv_vals * (basis.T @ panel.values[:, -1])
+    return insample, predictor.cross[:horizon] @ weights
 
 
 def forecast_idio(fit: VarFit, xi_insample: np.ndarray, horizon: int) -> np.ndarray:

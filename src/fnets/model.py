@@ -22,8 +22,10 @@ from .factor_number import (
     select_factor_number_ic,
 )
 from .forecast import (
+    CommonPredictor,
     ForecastResult,
     combine_forecasts,
+    common_predictor,
     forecast_common_restricted,
     forecast_idio,
 )
@@ -47,7 +49,7 @@ from .tuning import (
 )
 from .var import VarFit, build_yule_walker, innovation_covariance, threshold_matrix
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,9 @@ class FittedModel:
     """Estimated model: what the document stores, plus the fit-time panel
     and tuning records, which are ``None`` on a model loaded from JSON.
 
-    ``r_forecast`` is the static rank of the common-component predictor,
-    chosen once at fit time.
+    ``r_forecast`` is the static rank chosen for the common-component
+    ``predictor``, which holds horizons up to ``bandwidth``; both are fixed
+    at fit time.
     """
 
     model_kind: str
@@ -64,6 +67,7 @@ class FittedModel:
     r_forecast: int
     bandwidth: int
     var_fit: VarFit
+    predictor: CommonPredictor
     precision: PrecisionFit | None
     mean_x: np.ndarray
     seed: int = 111
@@ -201,6 +205,7 @@ def fit(
         r_forecast=r_forecast,
         bandwidth=m,
         var_fit=var_fit,
+        predictor=common_predictor(factor.acv_chi, r_forecast, m),
         precision=precision,
         mean_x=panel.mean_x,
         seed=seed,
@@ -224,7 +229,7 @@ def report(model: FittedModel) -> str:
     """Human-readable fit summary."""
     lines = [
         "Factor-adjusted VAR model",
-        f"n: {model.panel.n}, p: {model.p}",
+        f"n: {'not stored' if model.panel is None else model.panel.n}, p: {model.p}",
         f"Factor model: {model.model_kind}",
         f"Factor number: {model.q_or_r}",
     ]
@@ -272,6 +277,7 @@ def to_document(model: FittedModel) -> dict:
             "Delta": _matrix(model.precision.innovation_precision),
             "Omega": _matrix(model.precision.longrun_precision),
         }
+    pred = model.predictor
     return {
         "schema_version": SCHEMA_VERSION,
         "model_kind": model.model_kind,
@@ -280,6 +286,12 @@ def to_document(model: FittedModel) -> dict:
         "bandwidth": model.bandwidth,
         "var": var_block,
         "lrpc": lrpc_block,
+        "predictor": {
+            "basis": _matrix(pred.basis),
+            "inv_vals": _matrix(pred.inv_vals),
+            "cross": _matrix(pred.cross),
+            "rank_warning": pred.rank_warning,
+        },
         "mean_x": model.mean_x.tolist(),
         "provenance": {
             "seed": model.seed,
@@ -318,12 +330,19 @@ def from_document(doc: dict) -> FittedModel:
                 ),
             )
         )
+    block = doc["predictor"]
     return FittedModel(
         model_kind=doc["model_kind"],
         q_or_r=int(doc["q_or_r"]),
         r_forecast=int(doc["r_forecast"]),
         bandwidth=int(doc["bandwidth"]),
         var_fit=var_fit,
+        predictor=CommonPredictor(
+            basis=np.asarray(block["basis"], dtype=float),
+            inv_vals=np.asarray(block["inv_vals"], dtype=float),
+            cross=np.asarray(block["cross"], dtype=float),
+            rank_warning=block["rank_warning"],
+        ),
         precision=precision,
         mean_x=np.asarray(doc["mean_x"], dtype=float),
         seed=int(doc["provenance"]["seed"]),
@@ -354,33 +373,16 @@ def write_json(path: str, payload: dict | str | bytes) -> None:
 def predict(model: FittedModel, panel: TimeSeriesPanel, horizon: int) -> ForecastResult:
     """Forecast ``horizon`` steps past the end of ``panel``.
 
-    The factor adjustment is recomputed deterministically from the stored
-    settings, and the common component is predicted with the stored static
-    rank, so a model reloaded from disk forecasts identically to one kept in
-    memory.
+    The common component applies the predictor stored at fit time to this
+    panel, so nothing is re-estimated and a reloaded model forecasts like the
+    one kept in memory. Another variable count raises ``DimensionError``.
     """
-    if horizon < 1:
-        raise DimensionError("horizon must be at least 1")
-    if horizon > model.bandwidth:
-        raise DimensionError(
-            f"horizon {horizon} beyond the stored bandwidth {model.bandwidth}"
-        )
-    if model.r_forecast == 0:
-        common_is = np.zeros((panel.p, panel.n))
-        common_fc = np.zeros((horizon, panel.p))
-        r_used = 0
-        warning = None
-    else:
-        factor = factor_adjust(
-            panel, model.model_kind, model.q_or_r, model.bandwidth, model.var_fit.order
-        )
-        common_is, common_fc, r_used, warning = forecast_common_restricted(
-            factor.acv_chi, model.r_forecast, panel, horizon
-        )
+    pred = model.predictor
+    common_is, common_fc = forecast_common_restricted(pred, panel, horizon)
     idio_is = panel.values - common_is
     idio_fc = forecast_idio(model.var_fit, idio_is, horizon)
     return combine_forecasts(
-        common_is, common_fc, idio_is, idio_fc, panel.mean_x, r_used, warning
+        common_is, common_fc, idio_is, idio_fc, panel.mean_x, pred.r_used, pred.rank_warning
     )
 
 

@@ -23,15 +23,9 @@ from .panel import AcvSequence, TimeSeriesPanel, sample_acv
 class FactorAdjustment:
     """Autocovariance triple (observed, common, idiosyncratic); spectra are not kept."""
 
-    q_or_r: int
-    model_kind: str  # "unrestricted" | "restricted"
     acv_x: AcvSequence
     acv_chi: AcvSequence
     acv_xi: AcvSequence
-
-    @property
-    def p(self) -> int:
-        return self.acv_x.p
 
 
 def default_bandwidth(n: int) -> int:
@@ -108,13 +102,7 @@ def factor_adjust_unrestricted(
     chi = (np.cos(arg) * weight) @ common.real - (np.sin(arg) * weight) @ common.imag
     acv_chi = AcvSequence("chi", m, chi.reshape(m + 1, p, p))
     acv_xi = AcvSequence("xi", m, acv_x.matrices - acv_chi.matrices)
-    return FactorAdjustment(
-        q_or_r=q,
-        model_kind="unrestricted",
-        acv_x=acv_x,
-        acv_chi=acv_chi,
-        acv_xi=acv_xi,
-    )
+    return FactorAdjustment(acv_x, acv_chi, acv_xi)
 
 
 def factor_adjust_restricted(
@@ -133,13 +121,7 @@ def factor_adjust_restricted(
     chi = proj @ acv_x.matrices @ proj
     acv_chi = AcvSequence("chi", max_lag, chi)
     acv_xi = AcvSequence("xi", max_lag, acv_x.matrices - chi)
-    return FactorAdjustment(
-        q_or_r=r,
-        model_kind="restricted",
-        acv_x=acv_x,
-        acv_chi=acv_chi,
-        acv_xi=acv_xi,
-    )
+    return FactorAdjustment(acv_x, acv_chi, acv_xi)
 
 
 def factor_adjust(

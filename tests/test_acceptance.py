@@ -14,7 +14,7 @@ import pytest
 from conftest import make_panel
 from fnets import model as model_mod
 from fnets.factor_number import select_factor_number_er, select_factor_number_ic
-from fnets.forecast import forecast_common_restricted, forecast_idio
+from fnets.forecast import common_predictor, forecast_common_restricted, forecast_idio
 from fnets.panel import TimeSeriesPanel, load_panel, sample_acv
 from fnets.precision import aclime, clime
 from fnets.simplex import solve_l1_box
@@ -253,7 +253,7 @@ def test_c09_forecast_identities(tmp_path):
     x = rng.standard_normal((4, 60))
     panel = make_panel(x, center=True)
     fa = factor_adjust_restricted(panel, 4, 3)
-    insample, _, _, _ = forecast_common_restricted(fa.acv_chi, 4, panel, 0)
+    insample, _ = forecast_common_restricted(common_predictor(fa.acv_chi, 4, 3), panel, 0)
     ok_a = float(np.max(np.abs(insample - panel.values))) <= 1e-10
 
     a1 = rng.uniform(-0.3, 0.3, (3, 3))

@@ -103,7 +103,7 @@ class TestFitCommand:
         assert "VAR order: 1" in out
         assert "Non-zero entries:" in out
         doc = json.loads(open(model).read())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["model_kind"] == "unrestricted"
         assert np.asarray(doc["var"]["beta"]).shape == (8, 8)
         assert doc["lrpc"] is None
@@ -218,6 +218,18 @@ class TestForecastCommand:
         rows = open(out).read().strip().splitlines()[1:]
         got = np.array([[float(v) for v in row.split(",")] for row in rows])
         assert np.array_equal(got, expect)
+
+    def test_newdata_wrong_variable_count(self, panel_csv, tmp_path, capsys):
+        model = str(tmp_path / "model.json")
+        run(capsys, "fit", panel_csv, "--q", "1", "--no-lrpc", "--out", model)
+        new_csv = str(tmp_path / "new.csv")
+        run(capsys, "simulate", "--kind", "var", "--n", "60", "--p", "5",
+            "--seed", "8", "--out", new_csv)
+        code, _, err = run(
+            capsys, "forecast", "--model", model, "--newdata", new_csv, "--ahead", "1"
+        )
+        assert code == 3
+        assert "5 variables" in err
 
     def test_shape_contract(self, panel_csv, tmp_path, capsys):
         model = str(tmp_path / "model.json")

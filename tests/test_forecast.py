@@ -3,7 +3,12 @@ import pytest
 
 from conftest import make_panel
 from fnets.errors import DimensionError
-from fnets.forecast import combine_forecasts, forecast_common_restricted, forecast_idio
+from fnets.forecast import (
+    combine_forecasts,
+    common_predictor,
+    forecast_common_restricted,
+    forecast_idio,
+)
 from fnets.panel import AcvSequence
 from fnets.simulate import SimSpec, sim_var
 from fnets.spectral import factor_adjust_restricted, factor_adjust_unrestricted
@@ -15,10 +20,11 @@ class TestCommonRestricted:
         x = rng.standard_normal((3, 40))
         panel = make_panel(x, center=True)
         fa = factor_adjust_restricted(panel, 3, 2)
-        insample, fc, r_used, _ = forecast_common_restricted(fa.acv_chi, 3, panel, 0)
+        pred = common_predictor(fa.acv_chi, 3, 2)
+        insample, fc = forecast_common_restricted(pred, panel, 0)
         assert np.max(np.abs(insample - panel.values)) <= 1e-10
         assert fc.shape == (0, 3)
-        assert r_used == 3
+        assert pred.r_used == 3
 
     def test_projection_identity_restricted_pipeline(self, rng):
         # Gamma_chi(0) E M^-1 E' equals the plain projector E E'.
@@ -35,15 +41,16 @@ class TestCommonRestricted:
         mats = np.stack([np.diag([4.0, 1.0]), np.zeros((2, 2))])
         acv = AcvSequence("chi", 1, mats)
         panel = make_panel(np.array([[1.0, 2.0], [0.5, -0.5]]))
-        _, fc, _, _ = forecast_common_restricted(acv, 2, panel, 1)
+        _, fc = forecast_common_restricted(common_predictor(acv, 2, 1), panel, 1)
         assert np.max(np.abs(fc)) == 0.0
 
     def test_hand_axis_aligned_case(self):
         mats = np.stack([np.diag([4.0, 0.0]), np.array([[2.0, 0.0], [0.0, 0.0]])])
         acv = AcvSequence("chi", 1, mats)
         panel = make_panel(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        _, fc, r_used, _ = forecast_common_restricted(acv, 1, panel, 1)
-        assert r_used == 1
+        pred = common_predictor(acv, 1, 1)
+        _, fc = forecast_common_restricted(pred, panel, 1)
+        assert pred.r_used == 1
         assert fc[0] == pytest.approx([0.5, 0.0])
 
     def test_near_zero_eigenvalues_dropped_with_warning(self, rng):
@@ -51,15 +58,18 @@ class TestCommonRestricted:
         x = np.outer(vec, rng.standard_normal(50))
         panel = make_panel(x, center=True)
         fa = factor_adjust_restricted(panel, 2, 2)
-        _, _, r_used, warning = forecast_common_restricted(fa.acv_chi, 2, panel, 1)
-        assert r_used == 1
-        assert warning is not None
+        pred = common_predictor(fa.acv_chi, 2, 2)
+        forecast_common_restricted(pred, panel, 1)
+        assert pred.r_used == 1
+        assert pred.rank_warning is not None
 
     def test_horizon_beyond_lags(self, rng):
         panel = make_panel(rng.standard_normal((2, 30)))
         fa = factor_adjust_restricted(panel, 1, 2)
         with pytest.raises(DimensionError):
-            forecast_common_restricted(fa.acv_chi, 1, panel, 3)
+            forecast_common_restricted(common_predictor(fa.acv_chi, 1, 2), panel, 3)
+        with pytest.raises(DimensionError):
+            common_predictor(fa.acv_chi, 1, 3)
 
 
 class TestIdioForecast:

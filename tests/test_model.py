@@ -78,6 +78,12 @@ class TestDocument:
             small_model.precision.innovation_precision,
         )
         assert np.array_equal(loaded.mean_x, small_model.panel.mean_x)
+        for name in ("basis", "inv_vals", "cross"):
+            got = getattr(loaded.predictor, name)
+            want = getattr(small_model.predictor, name)
+            assert np.array_equal(got, want) and got.shape == want.shape
+            assert got.flags.c_contiguous and want.flags.c_contiguous
+        assert loaded.predictor.rank_warning == small_model.predictor.rank_warning
         assert loaded.q_or_r == small_model.q_or_r
         assert loaded.r_forecast == small_model.r_forecast
         assert loaded.input_path == "panel.csv"
@@ -96,6 +102,23 @@ class TestDocument:
         del doc["r_forecast"]
         with pytest.raises(UsageError, match="refit"):
             model_mod.from_document(doc)
+
+    def test_version_two_document_rejected(self, small_model):
+        # A v2 document lacks the common-component predictor.
+        doc = model_mod.to_document(small_model)
+        doc["schema_version"] = 2
+        del doc["predictor"]
+        with pytest.raises(UsageError, match="refit"):
+            model_mod.from_document(doc)
+
+    def test_report_on_loaded_model(self, small_model):
+        loaded = model_mod.from_document(
+            json.loads(json.dumps(model_mod.to_document(small_model)))
+        )
+        text = model_mod.report(loaded)
+        assert "n: not stored, p: 6" in text
+        # The tuning records are not stored, so their lines are absent.
+        assert set(text.splitlines()[2:]) <= set(model_mod.report(small_model).splitlines())
 
     def test_document_has_provenance(self, small_model):
         doc = model_mod.to_document(small_model)
@@ -128,6 +151,31 @@ class TestPredict:
         fc = model_mod.predict_model(fitted, 2)
         assert np.all(fc.common_forecast == 0.0)
         assert fc.r_used == 0
+
+    def test_wrong_variable_count(self, small_model):
+        panel = make_panel(np.random.default_rng(1).standard_normal((5, 80)), center=True)
+        with pytest.raises(DimensionError, match="5 variables"):
+            model_mod.predict(small_model, panel, 1)
+
+    def test_predict_does_no_factor_adjustment(self, monkeypatch):
+        # orders deeper than the bandwidth: the fit's own common component,
+        # not one re-estimated at another kernel bandwidth, drives predict.
+        spec = SimSpec(n=300, p=10, q=1, seed=2)
+        panel = make_panel(sim_var(spec).data + sim_unrestricted(spec), center=True)
+        fitted = model_mod.fit(panel, q=1, bandwidth=2, orders=(1, 3), lrpc=False)
+        loaded = model_mod.from_document(
+            json.loads(json.dumps(model_mod.to_document(fitted)))
+        )
+
+        def fail(*args, **kwargs):
+            raise AssertionError("predict must not re-run the factor adjustment")
+
+        monkeypatch.setattr(model_mod, "factor_adjust", fail)
+        for h in (1, 2):
+            in_memory = model_mod.predict_model(fitted, h)
+            reloaded = model_mod.predict(loaded, panel, h)
+            assert np.array_equal(in_memory.forecast, reloaded.forecast)
+            assert np.array_equal(in_memory.common_insample, reloaded.common_insample)
 
     def test_predict_reuses_fitted_rank(self, small_model, monkeypatch):
         loaded = model_mod.from_document(
