@@ -143,7 +143,7 @@ def fit(
     grid = lambda_grid(sys_top, path_length, method)
     if tuning == "cv":
         var_tuning = cv_var(
-            panel, model_kind, q_used, method, grid, orders, n_folds
+            panel, model_kind, q_used, method, grid, orders, n_folds, bandwidth
         )
     else:
         var_tuning = ebic_var(factor.acv_xi, panel.n, method, grid, orders, alpha)
@@ -187,6 +187,7 @@ def fit(
             grid_eta,
             n_folds,
             adaptive=lrpc_adaptive,
+            bandwidth=bandwidth,
         )
         eta_hat = eta_tuning.selected_lambda * eta_tuning.refit_scale
         prec = fit_precision(gamma_hat, eta_hat, panel.n, lrpc_adaptive)

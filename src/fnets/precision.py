@@ -57,32 +57,33 @@ def symmetrise_min_modulus(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def clime(gamma: np.ndarray, eta: float) -> PrecisionFit:
-    """Constrained l1-minimal inverse of ``gamma`` at constraint width ``eta``."""
+def clime(
+    gamma: np.ndarray, eta: float, bases: dict[int, np.ndarray] | None = None
+) -> PrecisionFit:
+    """Constrained l1-minimal inverse of ``gamma`` at constraint width ``eta``.
+
+    ``bases`` carries each column's optimal basis from one width to the next
+    (see :func:`solve_l1_box`).
+    """
     gamma = _check_symmetric(gamma, "covariance estimate")
     if eta <= 0:
         raise DimensionError("constraint width must be positive")
     p = gamma.shape[0]
-    raw = np.empty((p, p))
-    widths = np.full(p, eta)
-    eye = np.eye(p)
-    for j in range(p):
-        try:
-            raw[:, j] = solve_l1_box(gamma, eye[:, j], widths)
-        except SolverError as err:
-            raise SolverError(f"precision column {j + 1}: {err}") from err
+    try:
+        raw = solve_l1_box(gamma, np.eye(p), eta, bases)
+    except SolverError as err:
+        raise SolverError(f"precision {err}") from err
     return PrecisionFit(
         innovation_precision=symmetrise_min_modulus(raw), eta=eta, adaptive=False
     )
 
 
-def aclime(gamma: np.ndarray, eta2: float, n: int) -> PrecisionFit:
-    """Adaptive two-step variant with entry-dependent constraint widths.
+def aclime_step_one(gamma: np.ndarray, n: int) -> np.ndarray:
+    """Truncated diagonal estimates that calibrate the adaptive widths.
 
-    Step one bounds each column's residual by a width proportional to the
+    Each column's residual is bounded by a width proportional to the
     column's own diagonal unknown, linearised by moving that term to the
-    constraint matrix; the resulting diagonal estimates calibrate the widths
-    of the second step.
+    constraint matrix. The result does not depend on the second-step width.
     """
     gamma = _check_symmetric(gamma, "covariance estimate")
     p = gamma.shape[0]
@@ -90,8 +91,6 @@ def aclime(gamma: np.ndarray, eta2: float, n: int) -> PrecisionFit:
         raise DimensionError("adaptive estimator needs p >= 2")
     if n < 2:
         raise DimensionError("adaptive estimator needs n >= 2")
-    if eta2 <= 0:
-        raise DimensionError("constraint width must be positive")
     diag = np.diag(gamma)
     if np.any(diag <= 0):
         raise DataError("covariance diagonal must be positive")
@@ -113,17 +112,34 @@ def aclime(gamma: np.ndarray, eta2: float, n: int) -> PrecisionFit:
         step1_diag[j] = col[j]
 
     cut = math.sqrt(n / math.log(p))
-    trunc = np.where(
-        np.abs(diag) <= cut, step1_diag, math.sqrt(math.log(p) / n)
-    )
+    return np.where(np.abs(diag) <= cut, step1_diag, math.sqrt(math.log(p) / n))
 
-    raw = np.empty((p, p))
-    for j in range(p):
-        widths = eta2 * np.sqrt(diag * trunc[j])
-        try:
-            raw[:, j] = solve_l1_box(star, eye[:, j], widths)
-        except SolverError as err:
-            raise SolverError(f"adaptive step 2, column {j + 1}: {err}") from err
+
+def aclime(
+    gamma: np.ndarray,
+    eta2: float,
+    n: int,
+    step_one: np.ndarray | None = None,
+    bases: dict[int, np.ndarray] | None = None,
+) -> PrecisionFit:
+    """Adaptive two-step variant with entry-dependent constraint widths.
+
+    The diagonal estimates of :func:`aclime_step_one` (computed here unless
+    ``step_one`` passes them in) calibrate the widths of the second step, a
+    CLIME programme on ``gamma + I/n``; ``bases`` warm-starts it as in
+    :func:`clime`.
+    """
+    gamma = _check_symmetric(gamma, "covariance estimate")
+    if eta2 <= 0:
+        raise DimensionError("constraint width must be positive")
+    if step_one is None:
+        step_one = aclime_step_one(gamma, n)
+    p = gamma.shape[0]
+    widths = eta2 * np.sqrt(np.outer(np.diag(gamma), step_one))
+    try:
+        raw = solve_l1_box(gamma + np.eye(p) / n, np.eye(p), widths, bases)
+    except SolverError as err:
+        raise SolverError(f"adaptive step 2, {err}") from err
     return PrecisionFit(
         innovation_precision=symmetrise_min_modulus(raw), eta=eta2, adaptive=True
     )

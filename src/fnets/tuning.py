@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError, NumericalError, SolverError, UsageError
 from .panel import AcvSequence, TimeSeriesPanel
-from .precision import PrecisionFit, aclime, clime
+from .precision import PrecisionFit, aclime, aclime_step_one, clime
 from .spectral import FactorAdjustment, default_bandwidth, factor_adjust
 from .threshold_select import select_threshold
 from .var import (
@@ -77,28 +77,53 @@ def make_folds(n: int, n_folds: int) -> list[Fold]:
 
 
 def _segment_adjust(
-    panel: TimeSeriesPanel, seg: range, model_kind: str, q: int, min_lag: int
+    panel: TimeSeriesPanel,
+    seg: range,
+    model_kind: str,
+    q: int,
+    min_lag: int,
+    bandwidth: int | None,
 ) -> FactorAdjustment:
+    """Factor adjustment of one segment, at ``bandwidth`` or the segment's default."""
     sub = panel.time_slice(seg.start, seg.stop)
-    return factor_adjust(sub, model_kind, q, default_bandwidth(sub.n), min_lag)
+    m = default_bandwidth(sub.n) if bandwidth is None else bandwidth
+    return factor_adjust(sub, model_kind, q, m, min_lag)
 
 
-def fit_var(sys: YuleWalkerSystem, method: str, lam: float) -> VarFit:
-    """Sparse VAR solve by the named method: "lasso" (FISTA) or "ds" (simplex)."""
+def fit_var(
+    sys: YuleWalkerSystem,
+    method: str,
+    lam: float,
+    bases: dict[int, np.ndarray] | None = None,
+) -> VarFit:
+    """Sparse VAR solve by the named method: "lasso" (FISTA) or "ds" (simplex).
+
+    ``bases`` warm-starts the Dantzig selector's column programmes along a
+    penalty path on one moment system; the lasso ignores it.
+    """
     if method == "lasso":
         return lasso_fista(sys, lam)
     if method == "ds":
-        return dantzig_lp(sys, lam)
+        return dantzig_lp(sys, lam, bases)
     raise UsageError(f"unknown estimation method {method!r}")
 
 
 def fit_precision(
-    gamma: np.ndarray, eta: float, n: int, adaptive: bool
+    gamma: np.ndarray,
+    eta: float,
+    n: int,
+    adaptive: bool,
+    step_one: np.ndarray | None = None,
+    bases: dict[int, np.ndarray] | None = None,
 ) -> PrecisionFit:
-    """Innovation precision by adaptive (sample size ``n``) or plain CLIME."""
+    """Innovation precision by adaptive (sample size ``n``) or plain CLIME.
+
+    ``step_one`` passes in the adaptive diagonal estimates; ``bases``
+    warm-starts the column programmes along a width path on one ``gamma``.
+    """
     if adaptive:
-        return aclime(gamma, eta, n)
-    return clime(gamma, eta)
+        return aclime(gamma, eta, n, step_one, bases)
+    return clime(gamma, eta, bases)
 
 
 def _innovation_quadform(
@@ -158,21 +183,27 @@ def cv_var(
     grid: np.ndarray,
     orders: tuple[int, ...],
     n_folds: int = 1,
+    bandwidth: int | None = None,
 ) -> TuningResult:
-    """Rolling validation over the penalty grid and candidate orders."""
+    """Rolling validation over the penalty grid and candidate orders.
+
+    Segments are factor-adjusted at ``bandwidth``, or at their own default
+    bandwidth when it is None.
+    """
     orders = tuple(sorted(orders))
     folds = make_folds(panel.n, n_folds)
     scores = np.zeros((len(orders), len(grid)))
     max_order = max(orders)
     for fold in folds:
-        adj_tr = _segment_adjust(panel, fold.train, model_kind, q, max_order)
-        adj_te = _segment_adjust(panel, fold.test, model_kind, q, max_order)
+        adj_tr = _segment_adjust(panel, fold.train, model_kind, q, max_order, bandwidth)
+        adj_te = _segment_adjust(panel, fold.test, model_kind, q, max_order, bandwidth)
         gamma0_te = adj_te.acv_xi.at(0)
         for oi, order in enumerate(orders):
             sys_tr = build_yule_walker(adj_tr.acv_xi, order)
             sys_te = build_yule_walker(adj_te.acv_xi, order)
+            bases: dict[int, np.ndarray] = {}
             for gi, lam in enumerate(grid):
-                fit = fit_var(sys_tr, method, float(lam))
+                fit = fit_var(sys_tr, method, float(lam), bases)
                 scores[oi, gi] += float(
                     np.trace(_innovation_quadform(fit.beta, gamma0_te, sys_te))
                 )
@@ -200,6 +231,7 @@ def cv_delta(
     grid: np.ndarray,
     n_folds: int = 1,
     adaptive: bool = False,
+    bandwidth: int | None = None,
 ) -> TuningResult:
     """Constraint-width selection by the matrix divergence between the
     train-set precision and the test-set innovation covariance.
@@ -207,24 +239,35 @@ def cv_delta(
     The test covariance plugs the train-set coefficients into the test-set
     moments, the same quadratic form the coefficient validation score traces.
     Candidates whose divergence is undefined (non-positive determinant) or
-    whose column programmes are infeasible score infinity.
+    whose column programmes are infeasible score infinity. Each fold walks
+    the grid with every column warm-started from its previous optimal basis;
+    the adaptive first step, which does not depend on the width, runs once
+    per fold. Segments are factor-adjusted as in :func:`cv_var`.
     """
     folds = make_folds(panel.n, n_folds)
     p = panel.p
     scores = np.zeros(len(grid))
     for fold in folds:
-        adj_tr = _segment_adjust(panel, fold.train, model_kind, q, order)
-        adj_te = _segment_adjust(panel, fold.test, model_kind, q, order)
+        adj_tr = _segment_adjust(panel, fold.train, model_kind, q, order, bandwidth)
+        adj_te = _segment_adjust(panel, fold.test, model_kind, q, order, bandwidth)
         fit_tr = fit_var(build_yule_walker(adj_tr.acv_xi, order), method, lam)
         sys_te = build_yule_walker(adj_te.acv_xi, order)
         gamma_tr = innovation_covariance(adj_tr.acv_xi, fit_tr)
         gamma_te = _innovation_quadform(fit_tr.beta, adj_te.acv_xi.at(0), sys_te)
         n_tr = len(fold.train)
+        step_one = None
+        if adaptive and np.any(np.isfinite(scores)):
+            try:
+                step_one = aclime_step_one(gamma_tr, n_tr)
+            except SolverError:
+                scores[:] = np.inf  # every width of the fold would fail with it
+                continue
+        bases: dict[int, np.ndarray] = {}
         for gi, eta in enumerate(grid):
             if not np.isfinite(scores[gi]):
                 continue
             try:
-                prec = fit_precision(gamma_tr, float(eta), n_tr, adaptive)
+                prec = fit_precision(gamma_tr, float(eta), n_tr, adaptive, step_one, bases)
             except SolverError:
                 scores[gi] = np.inf
                 continue
@@ -282,8 +325,9 @@ def ebic_var(
     scores = np.zeros((len(orders), len(grid)))
     for oi, order in enumerate(orders):
         sys = build_yule_walker(acv_xi, order)
+        bases: dict[int, np.ndarray] = {}
         for gi, lam in enumerate(grid):
-            fit = fit_var(sys, method, float(lam))
+            fit = fit_var(sys, method, float(lam), bases)
             beta = fit.beta
             if np.any(beta != 0.0):
                 t_ada = select_threshold(beta, p * p * order).threshold

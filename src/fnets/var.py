@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, SolverError
+from .errors import DimensionError, NumericalError
 from .panel import AcvSequence
 from .simplex import solve_l1_box
 
@@ -175,19 +175,17 @@ def kkt_residual(sys: YuleWalkerSystem, beta: np.ndarray, lam: float) -> float:
     return worst
 
 
-def dantzig_lp(sys: YuleWalkerSystem, lam: float) -> VarFit:
-    """Column-wise l1 minimisation under a sup-norm moment constraint."""
+def dantzig_lp(
+    sys: YuleWalkerSystem, lam: float, bases: dict[int, np.ndarray] | None = None
+) -> VarFit:
+    """Column-wise l1 minimisation under a sup-norm moment constraint.
+
+    ``bases`` carries each column's optimal basis from one penalty to the
+    next (see :func:`solve_l1_box`).
+    """
     if lam <= 0:
         raise DimensionError("constraint width must be positive")
-    p = sys.p
-    k = sys.gram.shape[0]
-    beta = np.empty((k, p))
-    widths = np.full(k, lam)
-    for j in range(p):
-        try:
-            beta[:, j] = solve_l1_box(sys.gram, sys.cross[:, j], widths)
-        except SolverError as err:
-            raise SolverError(f"column {j + 1}: {err}") from err
+    beta = solve_l1_box(sys.gram, sys.cross, lam, bases)
     return VarFit(order=sys.order, beta=beta, method="ds", lam=lam)
 
 

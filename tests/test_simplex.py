@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import make_panel
+from fnets import precision, simplex, var
 from fnets.errors import SolverError
 from fnets.panel import sample_acv
+from fnets.precision import aclime, aclime_step_one, clime
 from fnets.simplex import solve_l1_box, solve_l1_general, solve_lp
 from fnets.simulate import SimSpec, sim_var
 from fnets.tuning import eta_grid, fit_var, lambda_grid
-from fnets.var import build_yule_walker, innovation_covariance
+from fnets.var import build_yule_walker, dantzig_lp, innovation_covariance
 from oracles import dantzig_column_oracle, min_l1_over_polytope
 
 
@@ -145,6 +147,149 @@ class TestStrongDuality:
         draws = rng.standard_normal((10, 20))
         gamma = draws.T @ draws / 10
         assert self._check(_box_programmes(gamma, np.eye(20), eta_grid(gamma, 10))) > 0
+
+
+def _p20_programmes():
+    """The p = 20 CLIME covariance and order-2 DS system of the duality test."""
+    sim = sim_var(SimSpec(n=300, p=20, seed=3))
+    acv = sample_acv(make_panel(sim.data, center=True), 2)
+    sys1 = build_yule_walker(acv, 1)
+    gamma = innovation_covariance(acv, fit_var(sys1, "lasso", lambda_grid(sys1, 10, "ds")[5]))
+    return gamma, build_yule_walker(acv, 2)
+
+
+def _reduced_costs(c, a, basis):
+    """Reduced costs of the nonbasic variables of ``basis`` for [A, I]."""
+    m, n = a.shape
+    full_a = np.hstack([a, np.eye(m)])
+    full_c = np.concatenate([c, np.zeros(m)])
+    nonbasic = np.setdiff1d(np.arange(n + m), basis)
+    tab = np.linalg.solve(full_a[:, basis], full_a[:, nonbasic])
+    return full_c[nonbasic] - full_c[basis] @ tab
+
+
+class TestWarmStartedPaths:
+    """Each column re-solved from its previous optimal basis along a width path.
+
+    Degenerate programmes have several optimal vertices, so warm and cold
+    solves are compared on the l1 objective, and every warm vertex on
+    feasibility.
+    """
+
+    @staticmethod
+    def _checked(monkeypatch, module):
+        """Replace ``module.solve_l1_box`` by one that checks each warm solve
+        against a cold solve of the same programme."""
+        solved = []
+
+        def checked(a_mat, rhs, widths, bases=None):
+            assert bases is not None
+            try:
+                warm = solve_l1_box(a_mat, rhs, widths, bases)
+            except SolverError:
+                with pytest.raises(SolverError):
+                    solve_l1_box(a_mat, rhs, widths)
+                raise
+            cold = solve_l1_box(a_mat, rhs, widths)
+            bound = np.broadcast_to(widths, rhs.shape)
+            assert np.all(np.abs(a_mat @ warm - rhs) <= bound + 1e-8)
+            l1_warm, l1_cold = np.abs(warm).sum(axis=0), np.abs(cold).sum(axis=0)
+            assert np.all(np.abs(l1_warm - l1_cold) <= 1e-9 * np.maximum(1.0, l1_cold))
+            solved.append(rhs.shape[1])
+            return warm
+
+        monkeypatch.setattr(module, "solve_l1_box", checked)
+        return solved
+
+    def test_clime_path_p20(self, monkeypatch):
+        gamma, _ = _p20_programmes()
+        solved = self._checked(monkeypatch, precision)
+        bases = {}
+        for eta in eta_grid(gamma, 10):
+            clime(gamma, float(eta), bases)
+        assert solved == [20] * 10
+        # The path left each column at a basis with structurals in it.
+        assert all(np.any(labels < 40) for labels in bases.values())
+
+    def test_aclime_step_two_path_p20(self, monkeypatch):
+        gamma, _ = _p20_programmes()
+        step_one = aclime_step_one(gamma, 150)
+        solved = self._checked(monkeypatch, precision)
+        bases = {}
+        for eta in eta_grid(gamma, 10):
+            try:
+                aclime(gamma, float(eta), 150, step_one, bases)
+            except SolverError:
+                pass  # the cold solve was checked to fail as well
+        assert len(solved) >= 8
+
+    def test_dantzig_path_p20(self, monkeypatch):
+        _, sys2 = _p20_programmes()
+        solved = self._checked(monkeypatch, var)
+        bases = {}
+        for lam in lambda_grid(sys2, 10, "ds"):
+            dantzig_lp(sys2, float(lam), bases)
+        assert solved == [20] * 10
+
+    def test_one_solve_per_column_per_grid_point(self, monkeypatch):
+        gamma, sys2 = _p20_programmes()
+        calls = []
+        inner = simplex.solve_lp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(simplex, "solve_lp", counted)
+        for fit, grid in (
+            (lambda eta, bases: clime(gamma, eta, bases), eta_grid(gamma, 10)),
+            (lambda lam, bases: dantzig_lp(sys2, lam, bases), lambda_grid(sys2, 10, "ds")),
+        ):
+            bases = {}
+            for value in grid:
+                calls.clear()
+                fit(float(value), bases)
+                assert len(calls) == 20
+
+    def test_foreign_dual_infeasible_basis_falls_back(self, rng):
+        # An optimal basis of one box programme, handed to another of the
+        # same shape whose reduced costs at that basis are negative.
+        d = 6
+        c = np.ones(2 * d)
+        found = 0
+        for _ in range(50):
+            grams = []
+            for _ in range(2):
+                draws = rng.standard_normal((d, d))
+                grams.append(draws @ draws.T + 0.3 * np.eye(d))
+            a1, a2 = (np.block([[g, -g], [-g, g]]) for g in grams)
+            target = rng.standard_normal(d)
+            b = np.concatenate([target + 0.1, 0.1 - target])
+            basis = 2 * d + np.arange(2 * d)
+            solve_lp(c, a1, b, basis)
+            try:
+                costs = _reduced_costs(c, a2, basis)
+            except np.linalg.LinAlgError:
+                continue
+            if costs.min() >= -1e-6:
+                continue
+            found += 1
+            got = solve_lp(c, a2, b, basis)
+            cold = solve_lp(c, a2, b)
+            assert c @ got == pytest.approx(c @ cold, rel=1e-9)
+            assert np.all(a2 @ got <= b + 1e-8) and np.all(got >= 0.0)
+            # The basis now names an optimal vertex of the second programme.
+            assert _reduced_costs(c, a2, basis).min() >= -1e-9
+        assert found >= 10
+
+    def test_invalid_basis_falls_back(self):
+        # A repeated label leaves no square basis matrix to rebuild from.
+        c = np.array([1.0, 1.0])
+        a = np.array([[-1.0, 0.0], [0.0, -1.0]])
+        b = np.array([-2.0, -3.0])
+        basis = np.array([0, 0])
+        assert np.allclose(solve_lp(c, a, b, basis), [2.0, 3.0], atol=1e-9)
+        assert sorted(basis.tolist()) == [0, 1]
 
 
 def _lp_oracle(c, f_mat, h, n):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import make_panel
+from fnets import tuning
 from fnets.errors import DataError, DimensionError, UsageError
 from fnets.panel import TimeSeriesPanel
 from fnets.model import fit
+from fnets.precision import aclime, aclime_step_one
 from fnets.simulate import SimSpec, sim_unrestricted, sim_var
-from fnets.spectral import factor_adjust, factor_adjust_unrestricted
+from fnets.spectral import default_bandwidth, factor_adjust, factor_adjust_unrestricted
 from fnets.tuning import (
     cv_delta,
     cv_var,
@@ -169,6 +171,53 @@ class TestCvDelta:
         assert tr.selected_lambda in grid
         finite = np.isfinite(tr.score_surface[0])
         assert finite.any()
+
+    def test_aclime_step_one_once_per_fold(self, monkeypatch):
+        panel = oracle_panel(3)
+        calls = []
+
+        def counted(gamma, n):
+            calls.append(n)
+            return aclime_step_one(gamma, n)
+
+        monkeypatch.setattr(tuning, "aclime_step_one", counted)
+        grid = np.geomspace(1.0, 0.01, 6)
+        tr = cv_delta(panel, "unrestricted", 0, "lasso", 0.15, 1, grid, 2, adaptive=True)
+        assert calls == [50, 50]
+        assert np.isfinite(tr.score_surface).any()
+
+    def test_passed_step_one_is_bit_identical(self):
+        a = np.random.default_rng(4).standard_normal((6, 6))
+        gamma = a @ a.T / 6 + 0.5 * np.eye(6)
+        inline = aclime(gamma, 0.3, 120).innovation_precision
+        passed = aclime(gamma, 0.3, 120, aclime_step_one(gamma, 120)).innovation_precision
+        assert np.array_equal(inline, passed)
+
+
+class TestSegmentBandwidth:
+    @staticmethod
+    def _segment_bandwidths(monkeypatch, bandwidth):
+        spec = SimSpec(n=300, p=10, q=1, seed=2)
+        panel = make_panel(sim_var(spec).data + sim_unrestricted(spec), center=True)
+        seen = []
+
+        def spy(sub, model_kind, q, m, min_lag):
+            seen.append((sub.n, m))
+            return factor_adjust(sub, model_kind, q, m, min_lag)
+
+        monkeypatch.setattr(tuning, "factor_adjust", spy)
+        fit(panel, q=1, bandwidth=bandwidth, orders=(1,), lrpc=True)
+        return seen
+
+    def test_user_bandwidth_reaches_every_segment(self, monkeypatch):
+        # cv_var and cv_delta each adjust one training and one test segment.
+        seen = self._segment_bandwidths(monkeypatch, 2)
+        assert seen == [(150, 2)] * 4
+
+    def test_default_bandwidth_per_segment(self, monkeypatch):
+        seen = self._segment_bandwidths(monkeypatch, None)
+        assert seen == [(150, default_bandwidth(150))] * 4
+        assert default_bandwidth(150) != default_bandwidth(300)
 
 
 class TestEbic:
