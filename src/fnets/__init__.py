@@ -36,7 +36,7 @@ from .spectral import (
     factor_adjust_unrestricted,
 )
 from .threshold_select import ThresholdSelection, candidate_grid, select_threshold
-from .tuning import TuningResult, cv_delta, cv_var, ebic_var, make_folds
+from .tuning import TuningResult, cv_delta, cv_var, ebic_var, make_folds, segment_moments
 from .var import (
     VarFit,
     YuleWalkerSystem,

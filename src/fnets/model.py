@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, UsageError
+from .errors import DataError, DimensionError, UsageError
 from .factor_number import (
     FactorNumberSelection,
     select_factor_number_er,
@@ -36,7 +36,7 @@ from .precision import (
     with_partial_correlations,
 )
 from .spectral import default_bandwidth, factor_adjust
-from .threshold_select import select_threshold
+from .threshold_select import adaptive_threshold
 from .tuning import (
     TuningResult,
     cv_delta,
@@ -46,6 +46,7 @@ from .tuning import (
     fit_precision,
     fit_var,
     lambda_grid,
+    segment_moments,
 )
 from .var import VarFit, build_yule_walker, innovation_covariance, threshold_matrix
 
@@ -117,6 +118,10 @@ def fit(
     m = default_bandwidth(panel.n) if bandwidth is None else bandwidth
     if m < 1 or m > panel.n - 1:
         raise DimensionError(f"bandwidth {m} outside 1..{panel.n - 1}")
+    flat = np.flatnonzero(np.ptp(panel.values, axis=1) == 0.0)
+    if flat.size:
+        names = ", ".join(panel.var_names[i] for i in flat)
+        raise DataError(f"constant series: {names}; drop them before fitting")
 
     q_selection = None
     if q is None:
@@ -141,10 +146,11 @@ def fit(
 
     sys_top = build_yule_walker(factor.acv_xi, max(orders))
     grid = lambda_grid(sys_top, path_length, method)
+    moments = None
+    if tuning == "cv" or lrpc:
+        moments = segment_moments(panel, model_kind, q_used, n_folds, bandwidth, max(orders))
     if tuning == "cv":
-        var_tuning = cv_var(
-            panel, model_kind, q_used, method, grid, orders, n_folds, bandwidth
-        )
+        var_tuning = cv_var(moments, panel.n, method, grid, orders)
     else:
         var_tuning = ebic_var(factor.acv_xi, panel.n, method, grid, orders, alpha)
     d_hat = var_tuning.selected_order
@@ -160,12 +166,7 @@ def fit(
     if threshold == "off":
         t_value = None
     elif threshold == "adaptive":
-        if np.all(var_fit.beta == 0.0):
-            t_value = 0.0
-        else:
-            t_value = select_threshold(
-                var_fit.beta, panel.p * panel.p * d_hat
-            ).threshold
+        t_value = adaptive_threshold(var_fit.beta, panel.p * panel.p * d_hat)
     else:
         t_value = float(threshold)
         if t_value < 0:
@@ -178,20 +179,12 @@ def fit(
     if lrpc:
         grid_eta = eta_grid(gamma_hat, path_length)
         eta_tuning = cv_delta(
-            panel,
-            model_kind,
-            q_used,
-            method,
-            lam_hat,
-            d_hat,
-            grid_eta,
-            n_folds,
-            adaptive=lrpc_adaptive,
-            bandwidth=bandwidth,
+            moments, panel.n, method, lam_hat, d_hat, grid_eta, adaptive=lrpc_adaptive
         )
         eta_hat = eta_tuning.selected_lambda * eta_tuning.refit_scale
         prec = fit_precision(gamma_hat, eta_hat, panel.n, lrpc_adaptive)
         precision = with_partial_correlations(longrun_precision(var_fit, prec))
+    del moments  # tuning is done; free the segment moments before the rank search
 
     # Static rank of the common-component predictor: the restricted model's
     # factor number, otherwise selected on the lag-0 covariance.

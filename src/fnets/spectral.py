@@ -108,7 +108,9 @@ def factor_adjust_unrestricted(
 def factor_adjust_restricted(
     panel: TimeSeriesPanel, r: int, max_lag: int
 ) -> FactorAdjustment:
-    """Time-domain factor adjustment projecting on r static eigenvectors."""
+    """Time-domain factor adjustment by the projection P on r static eigenvectors:
+    G_chi(l) = P G_x(l) P, and G_xi(l) = (I - P) G_x(l) (I - P) is the ACV of the
+    residual series (I - P) x, which ``predict`` treats as the idiosyncratic part."""
     if r < 0 or r > panel.p:
         raise DimensionError(f"factor number {r} outside 0..{panel.p}")
     if max_lag < 1 or max_lag > panel.n - 1:
@@ -118,9 +120,9 @@ def factor_adjust_restricted(
     _, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
     lead_vecs = vecs[:, ::-1][:, :r]
     proj = lead_vecs @ lead_vecs.T
-    chi = proj @ acv_x.matrices @ proj
-    acv_chi = AcvSequence("chi", max_lag, chi)
-    acv_xi = AcvSequence("xi", max_lag, acv_x.matrices - chi)
+    resid = np.eye(panel.p) - proj
+    acv_chi = AcvSequence("chi", max_lag, proj @ acv_x.matrices @ proj)
+    acv_xi = AcvSequence("xi", max_lag, resid @ acv_x.matrices @ resid)
     return FactorAdjustment(acv_x, acv_chi, acv_xi)
 
 

@@ -106,6 +106,13 @@ def select_threshold(
     )
 
 
+def adaptive_threshold(mat: np.ndarray, denominator: int) -> float:
+    """The ``select_threshold`` value for ``mat``, or 0 when ``mat`` is all zero."""
+    if np.all(np.asarray(mat) == 0.0):
+        return 0.0
+    return select_threshold(mat, denominator).threshold
+
+
 def _rate_term(drop: np.ndarray, width: np.ndarray) -> np.ndarray:
     """``drop * log(drop / width)`` elementwise, taking 0 log 0 as 0."""
     out = np.zeros_like(drop)

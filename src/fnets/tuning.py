@@ -17,8 +17,8 @@ import numpy as np
 from .errors import DataError, DimensionError, NumericalError, SolverError, UsageError
 from .panel import AcvSequence, TimeSeriesPanel
 from .precision import PrecisionFit, aclime, aclime_step_one, clime
-from .spectral import FactorAdjustment, default_bandwidth, factor_adjust
-from .threshold_select import select_threshold
+from .spectral import default_bandwidth, factor_adjust
+from .threshold_select import adaptive_threshold
 from .var import (
     VarFit,
     YuleWalkerSystem,
@@ -44,16 +44,22 @@ class TuningResult:
     score_surface: np.ndarray  # (len(orders), len(grid))
     selected_lambda: float
     selected_order: int
-    n_folds: int = 1
-    alpha: float = 0.0
-    folds: tuple[Fold, ...] = ()
     # Penalties scale with 1/sqrt(sample size); a value tuned on the training
     # segments transfers to a full-sample refit through this factor.
     refit_scale: float = 1.0
 
 
-def _refit_scale(folds: list[Fold], n: int) -> float:
-    mean_train = sum(len(f.train) for f in folds) / len(folds)
+@dataclass(frozen=True)
+class SegmentMoments:
+    """Idiosyncratic autocovariances of one fold's training and test segments."""
+
+    n_train: int
+    train: AcvSequence
+    test: AcvSequence
+
+
+def _refit_scale(moments: list[SegmentMoments], n: int) -> float:
+    mean_train = sum(s.n_train for s in moments) / len(moments)
     return math.sqrt(mean_train / n)
 
 
@@ -76,18 +82,28 @@ def make_folds(n: int, n_folds: int) -> list[Fold]:
     return folds
 
 
-def _segment_adjust(
+def segment_moments(
     panel: TimeSeriesPanel,
-    seg: range,
     model_kind: str,
     q: int,
-    min_lag: int,
+    n_folds: int,
     bandwidth: int | None,
-) -> FactorAdjustment:
-    """Factor adjustment of one segment, at ``bandwidth`` or the segment's default."""
-    sub = panel.time_slice(seg.start, seg.stop)
-    m = default_bandwidth(sub.n) if bandwidth is None else bandwidth
-    return factor_adjust(sub, model_kind, q, m, min_lag)
+    max_lag: int,
+) -> list[SegmentMoments]:
+    """Idiosyncratic ACV of every fold's training and test segments at lags
+    0..``max_lag``, adjusted at ``bandwidth`` or each segment's default when it
+    is None. Every validation score reads these, so each segment is adjusted
+    once, and the deeper lags the kernel needed are dropped."""
+    out = []
+    for fold in make_folds(panel.n, n_folds):
+        acv = []
+        for seg in (fold.train, fold.test):
+            sub = panel.time_slice(seg.start, seg.stop)
+            m = default_bandwidth(sub.n) if bandwidth is None else bandwidth
+            xi = factor_adjust(sub, model_kind, q, m, max_lag).acv_xi.matrices
+            acv.append(AcvSequence("xi", max_lag, xi[: max_lag + 1]))
+        out.append(SegmentMoments(len(fold.train), *acv))
+    return out
 
 
 def fit_var(
@@ -176,31 +192,24 @@ def _select(
 
 
 def cv_var(
-    panel: TimeSeriesPanel,
-    model_kind: str,
-    q: int,
+    moments: list[SegmentMoments],
+    n: int,
     method: str,
     grid: np.ndarray,
     orders: tuple[int, ...],
-    n_folds: int = 1,
-    bandwidth: int | None = None,
 ) -> TuningResult:
     """Rolling validation over the penalty grid and candidate orders.
 
-    Segments are factor-adjusted at ``bandwidth``, or at their own default
-    bandwidth when it is None.
+    ``moments`` are the segment moments of an n-point panel, to lag at least
+    max(orders).
     """
     orders = tuple(sorted(orders))
-    folds = make_folds(panel.n, n_folds)
     scores = np.zeros((len(orders), len(grid)))
-    max_order = max(orders)
-    for fold in folds:
-        adj_tr = _segment_adjust(panel, fold.train, model_kind, q, max_order, bandwidth)
-        adj_te = _segment_adjust(panel, fold.test, model_kind, q, max_order, bandwidth)
-        gamma0_te = adj_te.acv_xi.at(0)
+    for seg in moments:
+        gamma0_te = seg.test.at(0)
         for oi, order in enumerate(orders):
-            sys_tr = build_yule_walker(adj_tr.acv_xi, order)
-            sys_te = build_yule_walker(adj_te.acv_xi, order)
+            sys_tr = build_yule_walker(seg.train, order)
+            sys_te = build_yule_walker(seg.test, order)
             bases: dict[int, np.ndarray] = {}
             for gi, lam in enumerate(grid):
                 fit = fit_var(sys_tr, method, float(lam), bases)
@@ -215,23 +224,18 @@ def cv_var(
         score_surface=scores,
         selected_lambda=lam_hat,
         selected_order=d_hat,
-        n_folds=n_folds,
-        folds=tuple(folds),
-        refit_scale=_refit_scale(folds, panel.n),
+        refit_scale=_refit_scale(moments, n),
     )
 
 
 def cv_delta(
-    panel: TimeSeriesPanel,
-    model_kind: str,
-    q: int,
+    moments: list[SegmentMoments],
+    n: int,
     method: str,
     lam: float,
     order: int,
     grid: np.ndarray,
-    n_folds: int = 1,
     adaptive: bool = False,
-    bandwidth: int | None = None,
 ) -> TuningResult:
     """Constraint-width selection by the matrix divergence between the
     train-set precision and the test-set innovation covariance.
@@ -242,19 +246,16 @@ def cv_delta(
     whose column programmes are infeasible score infinity. Each fold walks
     the grid with every column warm-started from its previous optimal basis;
     the adaptive first step, which does not depend on the width, runs once
-    per fold. Segments are factor-adjusted as in :func:`cv_var`.
+    per fold. ``moments`` are as in :func:`cv_var`, to lag at least ``order``.
     """
-    folds = make_folds(panel.n, n_folds)
-    p = panel.p
+    p = moments[0].train.p
     scores = np.zeros(len(grid))
-    for fold in folds:
-        adj_tr = _segment_adjust(panel, fold.train, model_kind, q, order, bandwidth)
-        adj_te = _segment_adjust(panel, fold.test, model_kind, q, order, bandwidth)
-        fit_tr = fit_var(build_yule_walker(adj_tr.acv_xi, order), method, lam)
-        sys_te = build_yule_walker(adj_te.acv_xi, order)
-        gamma_tr = innovation_covariance(adj_tr.acv_xi, fit_tr)
-        gamma_te = _innovation_quadform(fit_tr.beta, adj_te.acv_xi.at(0), sys_te)
-        n_tr = len(fold.train)
+    for seg in moments:
+        fit_tr = fit_var(build_yule_walker(seg.train, order), method, lam)
+        sys_te = build_yule_walker(seg.test, order)
+        gamma_tr = innovation_covariance(seg.train, fit_tr)
+        gamma_te = _innovation_quadform(fit_tr.beta, seg.test.at(0), sys_te)
+        n_tr = seg.n_train
         step_one = None
         if adaptive and np.any(np.isfinite(scores)):
             try:
@@ -289,9 +290,7 @@ def cv_delta(
         score_surface=scores[None, :],
         selected_lambda=float(grid[gi]),
         selected_order=order,
-        n_folds=n_folds,
-        folds=tuple(folds),
-        refit_scale=_refit_scale(folds, panel.n),
+        refit_scale=_refit_scale(moments, n),
     )
 
 
@@ -328,10 +327,8 @@ def ebic_var(
         bases: dict[int, np.ndarray] = {}
         for gi, lam in enumerate(grid):
             fit = fit_var(sys, method, float(lam), bases)
-            beta = fit.beta
-            if np.any(beta != 0.0):
-                t_ada = select_threshold(beta, p * p * order).threshold
-                beta = threshold_matrix(beta, t_ada)
+            t_ada = adaptive_threshold(fit.beta, p * p * order)
+            beta = threshold_matrix(fit.beta, t_ada)
             s = int(np.count_nonzero(beta))
             loss = float(np.trace(_innovation_quadform(beta, gamma0, sys)))
             scores[oi, gi] = (
@@ -347,5 +344,4 @@ def ebic_var(
         score_surface=scores,
         selected_lambda=lam_hat,
         selected_order=d_hat,
-        alpha=alpha,
     )

@@ -27,7 +27,7 @@ from fnets.spectral import (
     spectral_matrices,
 )
 from fnets.threshold_select import select_threshold
-from fnets.tuning import cv_var, lambda_grid
+from fnets.tuning import cv_var, lambda_grid, segment_moments
 from fnets.var import (
     VarFit,
     build_yule_walker,
@@ -85,7 +85,8 @@ def _order_selection(n, p, d, method, reps, seed_base):
         panel = make_panel(sim.data, center=True)
         fa = factor_adjust_unrestricted(panel, 0)
         grid = lambda_grid(build_yule_walker(fa.acv_xi, 4), 10, method)
-        tr = cv_var(panel, "unrestricted", 0, method, grid, (1, 2, 3, 4), 1)
+        moments = segment_moments(panel, "unrestricted", 0, 1, None, 4)
+        tr = cv_var(moments, panel.n, method, grid, (1, 2, 3, 4))
         hits += tr.selected_order == d
     return hits
 

@@ -145,6 +145,16 @@ class TestFitCommand:
         assert "Factor model: restricted" in out
         assert "Tuning method: ebic" in out
 
+    def test_constant_series_data_error(self, panel_csv, capsys):
+        rows = [line.split(",") for line in open(panel_csv).read().splitlines()]
+        for row in rows[1:]:
+            row[4] = "3.0"
+        with open(panel_csv, "w") as fh:
+            fh.write("\n".join(",".join(row) for row in rows) + "\n")
+        code, _, err = run(capsys, "fit", panel_csv)
+        assert code == 3
+        assert "constant series: x5;" in err
+
     def test_ds_method_path(self, panel_csv, capsys):
         code, out, _ = run(
             capsys, "fit", panel_csv, "--q", "0", "--no-lrpc", "--method", "ds"

@@ -170,6 +170,14 @@ class TestFactorAdjust:
         full = factor_adjust_restricted(panel, 4, 3)
         assert np.max(np.abs(full.acv_xi.matrices)) <= 1e-10
 
+    def test_restricted_xi_is_residual_series_acv(self, rng):
+        panel = make_panel(rng.standard_normal((5, 80)), center=True)
+        fa = factor_adjust_restricted(panel, 2, 3)
+        lead = np.linalg.eigh(fa.acv_x.at(0))[1][:, ::-1][:, :2]
+        resid = panel.values - lead @ (lead.T @ panel.values)
+        for lag in range(4):
+            assert np.max(np.abs(fa.acv_xi.at(lag) - naive_acv(resid, lag))) <= 1e-12
+
     def test_restricted_hand_projection(self):
         # Uncorrelated rows with variances 4 and 1: the leading static
         # eigenvector is the first axis, so the projector is diag(1, 0).

@@ -19,6 +19,7 @@ from fnets.tuning import (
     lambda_grid,
     log_binomial,
     make_folds,
+    segment_moments,
 )
 from fnets.var import build_yule_walker
 
@@ -26,6 +27,11 @@ from fnets.var import build_yule_walker
 def oracle_panel(seed, n=200, p=10, d=1):
     sim = sim_var(SimSpec(n=n, p=p, q=0, var_order=d, seed=seed))
     return make_panel(sim.data, center=True)
+
+
+def var_moments(panel, max_lag, n_folds=1):
+    """Segment moments of a factor-free panel at each segment's default bandwidth."""
+    return segment_moments(panel, "unrestricted", 0, n_folds, None, max_lag)
 
 
 class TestMakeFolds:
@@ -101,7 +107,7 @@ class TestCvVar:
         panel = oracle_panel(0)
         fa = factor_adjust_unrestricted(panel, 0)
         sys = build_yule_walker(fa.acv_xi, 1)
-        tr = cv_var(panel, "unrestricted", 0, "lasso", np.array([0.3]), (1,), 1)
+        tr = cv_var(var_moments(panel, 1), panel.n, "lasso", np.array([0.3]), (1,))
         assert tr.selected_lambda == 0.3
         assert tr.selected_order == 1
         assert tr.score_surface.shape == (1, 1)
@@ -112,21 +118,21 @@ class TestCvVar:
             panel = oracle_panel(seed)
             fa = factor_adjust_unrestricted(panel, 0)
             grid = lambda_grid(build_yule_walker(fa.acv_xi, 4), 10, "lasso")
-            tr = cv_var(panel, "unrestricted", 0, "lasso", grid, (1, 2, 3, 4), 1)
+            tr = cv_var(var_moments(panel, 4), panel.n, "lasso", grid, (1, 2, 3, 4))
             hits += tr.selected_order == 1
         assert hits >= 7
 
     def test_unknown_method_usage_error(self):
         panel = oracle_panel(0)
         with pytest.raises(UsageError):
-            cv_var(panel, "unrestricted", 0, "ridge", np.array([0.3]), (1,), 1)
+            cv_var(var_moments(panel, 1), panel.n, "ridge", np.array([0.3]), (1,))
 
     def test_reproducible(self):
         panel = oracle_panel(4)
         fa = factor_adjust_unrestricted(panel, 0)
         grid = lambda_grid(build_yule_walker(fa.acv_xi, 2), 5, "lasso")
-        a = cv_var(panel, "unrestricted", 0, "lasso", grid, (1, 2), 1)
-        b = cv_var(panel, "unrestricted", 0, "lasso", grid, (1, 2), 1)
+        a = cv_var(var_moments(panel, 2), panel.n, "lasso", grid, (1, 2))
+        b = cv_var(var_moments(panel, 2), panel.n, "lasso", grid, (1, 2))
         assert np.array_equal(a.score_surface, b.score_surface)
         assert a.selected_lambda == b.selected_lambda
 
@@ -137,7 +143,7 @@ class TestCvVar:
         fa = factor_adjust_unrestricted(panel, 0)
         sys = build_yule_walker(fa.acv_xi, 1)
         grid = np.array([0.5, 0.05, 1e-8])
-        tr = cv_var(panel, "unrestricted", 0, "lasso", grid, (1,), 1)
+        tr = cv_var(var_moments(panel, 1), panel.n, "lasso", grid, (1,))
         best = tr.score_surface.min()
         chosen = tr.score_surface[0, list(grid).index(tr.selected_lambda)]
         assert chosen <= best + 1e-6
@@ -161,13 +167,13 @@ class TestCvDelta:
 
     def test_singleton_grid(self):
         panel = oracle_panel(1)
-        tr = cv_delta(panel, "unrestricted", 0, "lasso", 0.2, 1, np.array([0.4]), 1)
+        tr = cv_delta(var_moments(panel, 1), panel.n, "lasso", 0.2, 1, np.array([0.4]))
         assert tr.selected_lambda == 0.4
 
     def test_selects_reasonable_eta(self):
         panel = oracle_panel(3)
         grid = np.geomspace(1.0, 0.01, 8)
-        tr = cv_delta(panel, "unrestricted", 0, "lasso", 0.15, 1, grid, 1)
+        tr = cv_delta(var_moments(panel, 1), panel.n, "lasso", 0.15, 1, grid)
         assert tr.selected_lambda in grid
         finite = np.isfinite(tr.score_surface[0])
         assert finite.any()
@@ -182,7 +188,8 @@ class TestCvDelta:
 
         monkeypatch.setattr(tuning, "aclime_step_one", counted)
         grid = np.geomspace(1.0, 0.01, 6)
-        tr = cv_delta(panel, "unrestricted", 0, "lasso", 0.15, 1, grid, 2, adaptive=True)
+        moments = var_moments(panel, 1, n_folds=2)
+        tr = cv_delta(moments, panel.n, "lasso", 0.15, 1, grid, adaptive=True)
         assert calls == [50, 50]
         assert np.isfinite(tr.score_surface).any()
 
@@ -210,13 +217,14 @@ class TestSegmentBandwidth:
         return seen
 
     def test_user_bandwidth_reaches_every_segment(self, monkeypatch):
-        # cv_var and cv_delta each adjust one training and one test segment.
+        # One training and one test segment, adjusted once for cv_var and
+        # cv_delta together.
         seen = self._segment_bandwidths(monkeypatch, 2)
-        assert seen == [(150, 2)] * 4
+        assert seen == [(150, 2)] * 2
 
     def test_default_bandwidth_per_segment(self, monkeypatch):
         seen = self._segment_bandwidths(monkeypatch, None)
-        assert seen == [(150, default_bandwidth(150))] * 4
+        assert seen == [(150, default_bandwidth(150))] * 2
         assert default_bandwidth(150) != default_bandwidth(300)
 
 
