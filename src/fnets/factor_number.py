@@ -80,26 +80,7 @@ def _penalty(variant: int, model_kind: str, n: int, p: int, m: int) -> float:
     raise DimensionError(f"criterion variant {variant} outside 1..6")
 
 
-def ic_value(
-    eigen_summary: np.ndarray,
-    b: int,
-    c: float,
-    variant: int,
-    model_kind: str,
-    n: int,
-    p: int,
-    m: int,
-) -> float:
-    """One criterion evaluation at candidate factor number ``b``."""
-    if b < 0 or b > p:
-        raise DimensionError(f"candidate {b} outside 0..{p}")
-    tail = float(np.sum(eigen_summary[b:])) / p
-    if variant >= 4:
-        tail = math.log(max(tail, _TINY))
-    return tail + b * c * _penalty(variant, model_kind, n, p, m)
-
-
-def _argmin_over_b(
+def ic_table(
     eigen_summary: np.ndarray,
     c_grid: np.ndarray,
     variant: int,
@@ -109,7 +90,10 @@ def _argmin_over_b(
     m: int,
     q_max: int,
 ) -> np.ndarray:
-    """Selected factor number per c, ties broken toward smaller candidates."""
+    """Criterion at every constant in ``c_grid`` (rows) and candidate factor
+    number 0..``q_max`` (columns)."""
+    if q_max < 0 or q_max > p:
+        raise DimensionError(f"candidate {q_max} outside 0..{p}")
     bs = np.arange(q_max + 1)
     tails = np.array(
         [float(np.sum(eigen_summary[b:])) / p for b in bs]
@@ -117,8 +101,7 @@ def _argmin_over_b(
     if variant >= 4:
         tails = np.log(np.maximum(tails, _TINY))
     pen = _penalty(variant, model_kind, n, p, m)
-    values = tails[None, :] + c_grid[:, None] * bs[None, :] * pen
-    return np.argmin(values, axis=1)
+    return tails[None, :] + c_grid[:, None] * bs[None, :] * pen
 
 
 def default_q_max(n: int, p: int) -> int:
@@ -162,8 +145,9 @@ def select_factor_number_ic(
     for idx, (n_l, p_l) in enumerate(schedule):
         sub = panel.window(p_l, n_l)
         summary, m_l = eigenvalue_summary(sub, model_kind)
-        selections[idx] = _argmin_over_b(
-            summary, c_grid, variant, model_kind, n_l, p_l, m_l, q_bar
+        # Ties go to the smaller candidate.
+        selections[idx] = np.argmin(
+            ic_table(summary, c_grid, variant, model_kind, n_l, p_l, m_l, q_bar), axis=1
         )
 
     s_of_c = selections.var(axis=0, ddof=1)

@@ -159,8 +159,9 @@ def fit(
     # training segments is shrunk by the square-root sample-size ratio.
     lam_refit = lam_hat * var_tuning.refit_scale
 
-    var_fit = fit_var(build_yule_walker(factor.acv_xi, d_hat), method, lam_refit)
-    gamma_hat = innovation_covariance(factor.acv_xi, var_fit)
+    sys_hat = sys_top if d_hat == sys_top.order else build_yule_walker(factor.acv_xi, d_hat)
+    var_fit = fit_var(sys_hat, method, lam_refit)
+    gamma_hat = innovation_covariance(sys_hat, var_fit.beta)
 
     t_value: float | None
     if threshold == "off":

@@ -142,16 +142,14 @@ def fit_precision(
     return clime(gamma, eta, bases)
 
 
-def _innovation_quadform(
-    beta: np.ndarray, gamma0: np.ndarray, sys_test: YuleWalkerSystem
-) -> np.ndarray:
-    """Innovation covariance implied by ``beta`` under the test-set moments."""
-    cross = sys_test.cross
+def _innovation_quadform(sys: YuleWalkerSystem, beta: np.ndarray) -> np.ndarray:
+    """Innovation covariance implied by ``beta`` under the moments of ``sys``."""
+    cross = sys.cross
     mat = (
-        gamma0
+        sys.gram[: sys.p, : sys.p]
         - beta.T @ cross
         - cross.T @ beta
-        + beta.T @ sys_test.gram @ beta
+        + beta.T @ sys.gram @ beta
     )
     return (mat + mat.T) / 2.0
 
@@ -206,16 +204,13 @@ def cv_var(
     orders = tuple(sorted(orders))
     scores = np.zeros((len(orders), len(grid)))
     for seg in moments:
-        gamma0_te = seg.test.at(0)
         for oi, order in enumerate(orders):
             sys_tr = build_yule_walker(seg.train, order)
             sys_te = build_yule_walker(seg.test, order)
             bases: dict[int, np.ndarray] = {}
             for gi, lam in enumerate(grid):
                 fit = fit_var(sys_tr, method, float(lam), bases)
-                scores[oi, gi] += float(
-                    np.trace(_innovation_quadform(fit.beta, gamma0_te, sys_te))
-                )
+                scores[oi, gi] += float(np.trace(_innovation_quadform(sys_te, fit.beta)))
     lam_hat, d_hat = _select(scores, grid, orders)
     return TuningResult(
         method="cv",
@@ -240,21 +235,25 @@ def cv_delta(
     """Constraint-width selection by the matrix divergence between the
     train-set precision and the test-set innovation covariance.
 
-    The test covariance plugs the train-set coefficients into the test-set
+    The test covariance G plugs the train-set coefficients into the test-set
     moments, the same quadratic form the coefficient validation score traces.
-    Candidates whose divergence is undefined (non-positive determinant) or
-    whose column programmes are infeasible score infinity. Each fold walks
-    the grid with every column warm-started from its previous optimal basis;
-    the adaptive first step, which does not depend on the width, runs once
-    per fold. ``moments`` are as in :func:`cv_var`, to lag at least ``order``.
+    A width with precision D scores tr(D G) - log|det D|, the Stein
+    divergence tr(D G) - log det(D G) - p plus log|det G| + p, a term that
+    does not depend on the width. The score is finite where the divergence
+    is, det(D G) > 0, and also wherever det D > 0, so an indefinite G does not
+    rule out a positive definite D. Other candidates, and those whose column
+    programmes are infeasible, score infinity. Each fold walks the grid with
+    every column warm-started from its previous optimal basis; the adaptive
+    first step, which does not depend on the width, runs once per fold.
+    ``moments`` are as in :func:`cv_var`, to lag at least ``order``.
     """
-    p = moments[0].train.p
     scores = np.zeros(len(grid))
     for seg in moments:
-        fit_tr = fit_var(build_yule_walker(seg.train, order), method, lam)
-        sys_te = build_yule_walker(seg.test, order)
-        gamma_tr = innovation_covariance(seg.train, fit_tr)
-        gamma_te = _innovation_quadform(fit_tr.beta, seg.test.at(0), sys_te)
+        sys_tr = build_yule_walker(seg.train, order)
+        beta_tr = fit_var(sys_tr, method, lam).beta
+        gamma_tr = innovation_covariance(sys_tr, beta_tr)
+        gamma_te = _innovation_quadform(build_yule_walker(seg.test, order), beta_tr)
+        sign_te = np.linalg.slogdet(gamma_te)[0]
         n_tr = seg.n_train
         step_one = None
         if adaptive and np.any(np.isfinite(scores)):
@@ -272,12 +271,12 @@ def cv_delta(
             except SolverError:
                 scores[gi] = np.inf
                 continue
-            prod = prec.innovation_precision @ gamma_te
-            sign, logdet = np.linalg.slogdet(prod)
-            if sign <= 0:
+            delta = prec.innovation_precision
+            sign, logdet = np.linalg.slogdet(delta)
+            if sign <= 0 and sign * sign_te <= 0:
                 scores[gi] = np.inf
                 continue
-            scores[gi] += float(np.trace(prod)) - logdet - p
+            scores[gi] += float(np.trace(delta @ gamma_te)) - logdet
     if not np.any(np.isfinite(scores)):
         raise NumericalError(
             "no valid constraint-width candidate; widen the grid"
@@ -320,7 +319,6 @@ def ebic_var(
     """
     orders = tuple(sorted(orders))
     p = acv_xi.p
-    gamma0 = acv_xi.at(0)
     scores = np.zeros((len(orders), len(grid)))
     for oi, order in enumerate(orders):
         sys = build_yule_walker(acv_xi, order)
@@ -330,7 +328,7 @@ def ebic_var(
             t_ada = adaptive_threshold(fit.beta, p * p * order)
             beta = threshold_matrix(fit.beta, t_ada)
             s = int(np.count_nonzero(beta))
-            loss = float(np.trace(_innovation_quadform(beta, gamma0, sys)))
+            loss = float(np.trace(_innovation_quadform(sys, beta)))
             scores[oi, gi] = (
                 n / 2.0 * math.log(max(loss, np.finfo(float).tiny))
                 + s * math.log(n)

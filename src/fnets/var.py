@@ -8,6 +8,7 @@ family (solved column-wise as linear programmes).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,8 @@ class YuleWalkerSystem:
     """Block-Toeplitz moment system for a candidate VAR order.
 
     ``gram`` is the (p*order) x (p*order) matrix of lagged autocovariances and
-    ``cross`` stacks the lag 1..order autocovariances into (p*order) x p.
+    ``cross`` stacks the lag 1..order autocovariances into (p*order) x p; the
+    leading p x p block of ``gram`` is the lag-0 autocovariance.
     """
 
     order: int
@@ -31,6 +33,28 @@ class YuleWalkerSystem:
     @property
     def p(self) -> int:
         return self.cross.shape[1]
+
+    @cached_property
+    def prepared(self) -> tuple[np.ndarray, float, bool]:
+        """Symmetrised gram matrix clipped to the PSD cone, the Lipschitz
+        constant of the lasso gradient, and whether the clip changed anything.
+
+        The factor adjustment can leave negative eigenvalues; one below
+        -1e-12 times the largest is real and clipped, anything smaller is
+        rounding noise and left alone. An exactly symmetric gram matrix, as
+        :func:`build_yule_walker` makes, is used as it is, with no copy.
+        Computed once per system, so a penalty path pays for one
+        eigendecomposition.
+        """
+        gram_sym = self.gram
+        if not np.array_equal(gram_sym, gram_sym.T):
+            gram_sym = (gram_sym + gram_sym.T) / 2.0
+        vals, vecs = np.linalg.eigh(gram_sym)
+        top = float(vals[-1])
+        clipped = bool(vals[0] < -1e-12 * top)
+        if clipped:
+            return (vecs * np.maximum(vals, 0.0)) @ vecs.T, 2.0 * max(top, 0.0), True
+        return gram_sym, 2.0 * top, False
 
 
 @dataclass(frozen=True)
@@ -82,11 +106,6 @@ def build_yule_walker(acv_xi: AcvSequence, order: int) -> YuleWalkerSystem:
     return YuleWalkerSystem(order=order, gram=gram, cross=cross)
 
 
-def _objective(gram, cross, m, lam):
-    quad = float(np.trace(m.T @ gram @ m - 2.0 * m.T @ cross))
-    return quad + lam * float(np.abs(m).sum())
-
-
 def _soft(x: np.ndarray, cut: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - cut, 0.0)
 
@@ -100,47 +119,39 @@ def lasso_fista(
     """Accelerated proximal-gradient solve of the l1-penalised moment fit.
 
     The quadratic part has gradient 2 (gram @ M - cross); its Lipschitz
-    constant is twice the top eigenvalue of the gram matrix. The gram matrix
-    is clipped to the PSD cone first, since the factor adjustment can leave
-    slightly negative eigenvalues.
+    constant is twice the top eigenvalue of the gram matrix, which is read,
+    clipped to the PSD cone, from ``sys.prepared``. The objective
+    sum(M * (gram @ M - 2 cross)) + lam |M|_1 is tracked to stop once its
+    relative change falls below ``tol``; the best iterate is returned.
     """
     if lam <= 0:
         raise DimensionError("lasso penalty must be positive")
-    gram_sym = (sys.gram + sys.gram.T) / 2.0
-    vals, vecs = np.linalg.eigh(gram_sym)
-    clipped = bool(vals[0] < 0.0)
-    if clipped:
-        gram = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-        lip = 2.0 * max(float(vals[-1]), 0.0)
-    else:
-        gram = gram_sym
-        lip = 2.0 * float(vals[-1])
+    gram, lip, clipped = sys.prepared
+    cross = sys.cross
     if lip <= 0.0:
         # Zero quadratic part: penalty alone is minimised at zero.
-        beta = np.zeros_like(sys.cross)
         return VarFit(
             order=sys.order,
-            beta=beta,
+            beta=np.zeros_like(cross),
             method="lasso",
             lam=lam,
-            objective_trace=(_objective(gram, sys.cross, beta, lam),),
+            objective_trace=(0.0,),
             gram_clipped=clipped,
         )
-    cross = sys.cross
     step = 1.0 / lip
     m_prev = np.zeros_like(cross)
     y = m_prev
     t_prev = 1.0
     trace: list[float] = []
     best = m_prev
-    best_obj = _objective(gram, cross, m_prev, lam)
-    obj_prev = best_obj
+    best_obj = obj_prev = 0.0
     for _ in range(max_iter):
         grad = 2.0 * (gram @ y - cross)
         m_new = _soft(y - step * grad, lam * step)
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_prev**2)) / 2.0
         y = m_new + ((t_prev - 1.0) / t_new) * (m_new - m_prev)
-        obj = _objective(gram, cross, m_new, lam)
+        obj = float(np.sum(m_new * (gram @ m_new - 2.0 * cross)))
+        obj += lam * float(np.abs(m_new).sum())
         if not np.isfinite(obj):
             raise NumericalError("lasso objective became non-finite")
         trace.append(obj)
@@ -197,8 +208,8 @@ def threshold_matrix(mat: np.ndarray, t: float) -> np.ndarray:
     return np.where(np.abs(mat) > t, mat, 0.0)
 
 
-def innovation_covariance(acv_xi: AcvSequence, fit: VarFit) -> np.ndarray:
-    """Innovation covariance from the fitted VAR, symmetrised by averaging."""
-    sys = build_yule_walker(acv_xi, fit.order)
-    raw = acv_xi.at(0) - fit.beta.T @ sys.cross
+def innovation_covariance(sys: YuleWalkerSystem, beta: np.ndarray) -> np.ndarray:
+    """Innovation covariance of the VAR with coefficients ``beta`` fitted to
+    ``sys``, symmetrised by averaging."""
+    raw = sys.gram[: sys.p, : sys.p] - beta.T @ sys.cross
     return (raw + raw.T) / 2.0

@@ -30,6 +30,7 @@ from fnets.threshold_select import select_threshold
 from fnets.tuning import cv_var, lambda_grid, segment_moments
 from fnets.var import (
     VarFit,
+    YuleWalkerSystem,
     build_yule_walker,
     dantzig_lp,
     lasso_fista,
@@ -143,7 +144,7 @@ def test_c06_solver_oracles():
         diag = rng.uniform(0.5, 3.0, k)
         cross = rng.standard_normal((k, p))
         lam = float(rng.uniform(0.05, 0.8))
-        sys = type("S", (), {"order": 1, "gram": np.diag(diag), "cross": cross})()
+        sys = YuleWalkerSystem(order=1, gram=np.diag(diag), cross=cross)
         fit = lasso_fista(sys, lam, max_iter=20000, tol=1e-15)
         closed = np.sign(cross) * np.maximum(np.abs(cross) - lam / 2.0, 0.0) / diag[:, None]
         worst_fista = max(worst_fista, float(np.max(np.abs(fit.beta - closed))))

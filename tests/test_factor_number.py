@@ -8,7 +8,7 @@ from fnets.errors import DimensionError
 from fnets.factor_number import (
     default_q_max,
     eigenvalue_summary,
-    ic_value,
+    ic_table,
     select_factor_number_er,
     select_factor_number_ic,
 )
@@ -21,6 +21,11 @@ def flagship_panel(seed, n=500, p=50):
     spec = SimSpec(n=n, p=p, q=2, seed=seed)
     x = sim_var(spec).data + sim_unrestricted(spec)
     return make_panel(x, center=True)
+
+
+def ic_value(summary, b, c, variant, model_kind, n, p, m):
+    """The criterion at one constant and candidate, read from the table."""
+    return ic_table(summary, np.array([c]), variant, model_kind, n, p, m, b)[0, b]
 
 
 class TestIcValue:

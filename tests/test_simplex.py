@@ -135,7 +135,7 @@ class TestStrongDuality:
         sim = sim_var(SimSpec(n=300, p=20, seed=3))
         acv = sample_acv(make_panel(sim.data, center=True), 2)
         sys1 = build_yule_walker(acv, 1)
-        gamma = innovation_covariance(acv, fit_var(sys1, "lasso", lambda_grid(sys1, 10, "ds")[5]))
+        gamma = innovation_covariance(sys1, fit_var(sys1, "lasso", lambda_grid(sys1, 10, "ds")[5]).beta)
         assert self._check(_box_programmes(gamma, np.eye(20), eta_grid(gamma, 10))) == 0
         sys2 = build_yule_walker(acv, 2)
         ds = _box_programmes(sys2.gram, sys2.cross, lambda_grid(sys2, 10, "ds"))
@@ -154,7 +154,7 @@ def _p20_programmes():
     sim = sim_var(SimSpec(n=300, p=20, seed=3))
     acv = sample_acv(make_panel(sim.data, center=True), 2)
     sys1 = build_yule_walker(acv, 1)
-    gamma = innovation_covariance(acv, fit_var(sys1, "lasso", lambda_grid(sys1, 10, "ds")[5]))
+    gamma = innovation_covariance(sys1, fit_var(sys1, "lasso", lambda_grid(sys1, 10, "ds")[5]).beta)
     return gamma, build_yule_walker(acv, 2)
 
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import make_panel
 from fnets import tuning
 from fnets.errors import DataError, DimensionError, UsageError
-from fnets.panel import TimeSeriesPanel
+from fnets.panel import AcvSequence, TimeSeriesPanel
 from fnets.model import fit
 from fnets.precision import aclime, aclime_step_one
 from fnets.simulate import SimSpec, sim_unrestricted, sim_var
@@ -19,6 +19,7 @@ from fnets.tuning import (
     lambda_grid,
     log_binomial,
     make_folds,
+    SegmentMoments,
     segment_moments,
 )
 from fnets.var import build_yule_walker
@@ -177,6 +178,45 @@ class TestCvDelta:
         assert tr.selected_lambda in grid
         finite = np.isfinite(tr.score_surface[0])
         assert finite.any()
+
+    def test_indefinite_test_form_still_scores(self):
+        # A penalty above the zero-solution bound gives beta = 0, so the test
+        # form is the test segment's lag-0 matrix: indefinite, det < 0.
+        panel = oracle_panel(3, p=3)
+        train = var_moments(panel, 1)[0].train
+        test = AcvSequence("xi", 1, np.stack([np.diag([1.0, 0.8, -0.2]), np.zeros((3, 3))]))
+        lam = 4.0 * float(np.max(np.abs(train.at(1))))
+        grid = eta_grid(train.at(0), 5)
+        tr = cv_delta([SegmentMoments(100, train, test)], panel.n, "lasso", lam, 1, grid)
+        assert np.isfinite(tr.score_surface).any()
+        assert tr.selected_lambda in grid
+
+    def test_score_is_stein_divergence_plus_width_free_term(self, monkeypatch):
+        panel = oracle_panel(3)
+        moments = var_moments(panel, 1)
+        deltas = []
+        fit_precision = tuning.fit_precision
+
+        def spy(*args):
+            prec = fit_precision(*args)
+            deltas.append(prec.innovation_precision)
+            return prec
+
+        monkeypatch.setattr(tuning, "fit_precision", spy)
+        grid = np.geomspace(0.5, 0.02, 6)
+        tr = cv_delta(moments, panel.n, "lasso", 0.15, 1, grid)
+        seg = moments[0]
+        beta = tuning.fit_var(build_yule_walker(seg.train, 1), "lasso", 0.15).beta
+        gamma_te = tuning._innovation_quadform(build_yule_walker(seg.test, 1), beta)
+        p = gamma_te.shape[0]
+        stein = []
+        for delta in deltas:
+            prod = delta @ gamma_te
+            stein.append(np.trace(prod) - np.linalg.slogdet(prod)[1] - p)
+        shift = tr.score_surface[0] - np.array(stein)
+        assert len(deltas) == len(grid)
+        assert np.all(np.isfinite(shift))
+        assert shift == pytest.approx(np.linalg.slogdet(gamma_te)[1] + p, abs=1e-9)
 
     def test_aclime_step_one_once_per_fold(self, monkeypatch):
         panel = oracle_panel(3)

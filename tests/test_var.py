@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from fnets.errors import DimensionError
 from fnets.panel import AcvSequence
 from fnets.var import (
+    YuleWalkerSystem,
     build_yule_walker,
     dantzig_lp,
     innovation_covariance,
@@ -14,7 +15,8 @@ from fnets.var import (
     lasso_fista,
     threshold_matrix,
 )
-from oracles import coordinate_descent_lasso, dantzig_column_oracle
+from fnets.tuning import lambda_grid
+from oracles import coordinate_descent_lasso, dantzig_column_oracle, reference_lasso_fista
 
 
 def scalar_seq(values):
@@ -75,7 +77,7 @@ class TestLassoFista:
     def test_diagonal_closed_form_verified_by_oracle(self):
         gram = np.diag([1.0, 2.0])
         cross = np.array([[0.5], [0.2]])
-        seq_sys = type("S", (), {"order": 1, "gram": gram, "cross": cross, "p": 1})()
+        seq_sys = YuleWalkerSystem(order=1, gram=gram, cross=cross)
         fit = lasso_fista(seq_sys, 0.2, max_iter=5000, tol=1e-15)
         oracle = coordinate_descent_lasso(gram, cross, 0.2)
         closed = np.sign(cross) * np.maximum(np.abs(cross) - 0.1, 0) / np.diag(gram)[:, None]
@@ -107,6 +109,68 @@ class TestLassoFista:
             fit = lasso_fista(sys, lam, max_iter=8000, tol=1e-15)
             oracle = coordinate_descent_lasso(sys.gram, sys.cross, lam)
             assert np.max(np.abs(fit.beta - oracle)) <= 1e-5
+
+
+def system_with_spectrum(rng, vals):
+    """Order-1 moment system whose symmetric gram matrix has eigenvalues ``vals``."""
+    k = len(vals)
+    vecs, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    gram = (vecs * np.asarray(vals)) @ vecs.T
+    return YuleWalkerSystem(order=1, gram=(gram + gram.T) / 2.0, cross=0.3 * np.eye(k))
+
+
+class TestPreparedGram:
+    def test_matches_reference_solver_bit_for_bit(self, rng):
+        for order in (1, 2):
+            for shift in (0.0, 0.05):
+                for _ in range(5):
+                    sys = build_yule_walker(random_system(rng, p=3, order=order), order)
+                    if shift:
+                        # A real negative eigenvalue, so both solvers clip.
+                        low = np.linalg.eigvalsh(sys.gram)[0]
+                        sys = YuleWalkerSystem(
+                            order=order,
+                            gram=sys.gram - (low + shift) * np.eye(sys.gram.shape[0]),
+                            cross=sys.cross,
+                        )
+                    for lam in lambda_grid(sys, 4, "lasso")[1:]:
+                        ref = reference_lasso_fista(sys, float(lam))
+                        fit = lasso_fista(sys, float(lam))
+                        assert fit.gram_clipped is ref.gram_clipped is bool(shift)
+                        assert np.array_equal(fit.beta, ref.beta)
+                        assert len(fit.objective_trace) == len(ref.objective_trace)
+
+    def test_one_eigendecomposition_per_system(self, rng, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        sys = build_yule_walker(random_system(rng, p=3, order=2), 2)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for lam in lambda_grid(sys, 10, "lasso"):
+            lasso_fista(sys, float(lam))
+        assert calls == [(6, 6)]
+
+    def test_rounding_level_negative_eigenvalue_is_not_clipped(self, rng):
+        sys = system_with_spectrum(rng, [2.0, 1.0, -1e-15])
+        gram, lip, clipped = sys.prepared
+        assert not clipped
+        assert np.array_equal(gram, sys.gram)
+        assert lip == pytest.approx(4.0, rel=1e-12)
+        assert not lasso_fista(sys, 0.1).gram_clipped
+
+    def test_negative_eigenvalue_is_clipped(self, rng):
+        sys = system_with_spectrum(rng, [2.0, 1.0, -0.1])
+        gram, lip, clipped = sys.prepared
+        assert clipped
+        vals = np.linalg.eigvalsh(gram)
+        assert vals[0] >= -1e-12
+        assert vals[1:] == pytest.approx([1.0, 2.0], rel=1e-12)
+        assert lip == pytest.approx(4.0, rel=1e-12)
+        assert lasso_fista(sys, 0.1).gram_clipped
 
 
 class TestDantzig:
@@ -185,7 +249,7 @@ class TestInnovationCovariance:
         from fnets.var import VarFit
 
         fit = VarFit(order=1, beta=np.zeros_like(sys.cross), method="lasso", lam=1.0)
-        out = innovation_covariance(seq, fit)
+        out = innovation_covariance(sys, fit.beta)
         assert np.max(np.abs(out - (seq.at(0) + seq.at(0).T) / 2.0)) <= 1e-15
 
     def test_scalar_value(self):
@@ -193,11 +257,12 @@ class TestInnovationCovariance:
         from fnets.var import VarFit
 
         fit = VarFit(order=1, beta=np.array([[0.5]]), method="lasso", lam=0.1)
-        assert innovation_covariance(seq, fit)[0, 0] == pytest.approx(0.75)
+        sys = build_yule_walker(seq, fit.order)
+        assert innovation_covariance(sys, fit.beta)[0, 0] == pytest.approx(0.75)
 
     def test_exact_symmetry(self, rng):
         seq = random_system(rng)
         sys = build_yule_walker(seq, 2)
         fit = lasso_fista(sys, 0.1)
-        out = innovation_covariance(seq, fit)
+        out = innovation_covariance(sys, fit.beta)
         assert np.array_equal(out, out.T)
