@@ -51,15 +51,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.q is not None and args.er:
         raise UsageError("--q fixes the factor number; it conflicts with --er")
     panel = load_panel(args.data, transpose=args.transpose, center=not args.no_center)
-    if args.threshold == "off" or args.threshold == "adaptive":
-        threshold = args.threshold
-    else:
-        try:
-            threshold = float(args.threshold)
-        except ValueError:
-            raise UsageError(
-                f"--threshold must be 'off', 'adaptive' or a number, got {args.threshold!r}"
-            ) from None
     fitted = model_mod.fit(
         panel,
         restricted=args.restricted,
@@ -73,10 +64,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         n_folds=args.folds,
         path_length=args.path_length,
-        threshold=threshold,
+        threshold=args.threshold,
         lrpc=not args.no_lrpc,
         lrpc_adaptive=args.lrpc_adaptive,
-        seed=args.seed,
         input_path=args.data,
     )
     sys.stdout.write(model_mod.report(fitted))
@@ -281,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--no-lrpc", action="store_true")
     fit_p.add_argument("--lrpc-adaptive", action="store_true")
     fit_p.add_argument("--bandwidth", type=int, default=None)
-    fit_p.add_argument("--seed", type=int, default=111)
     fit_p.add_argument("--out", default=None, help="write the model JSON here")
     fit_p.add_argument(
         "--dump-tuning", default=None, help="CSV dump of the validation score surfaces"

@@ -10,6 +10,7 @@ Sample means are re-added at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,15 +21,32 @@ from .var import VarFit
 
 @dataclass(frozen=True)
 class ForecastResult:
+    """Forecasts past the end of ``panel``. The panel's in-sample split into
+    common and idiosyncratic parts is computed when first read, so a forecast
+    keeps no p x n array alive."""
+
     horizon: int
     forecast: np.ndarray  # (horizon, p) combined, means re-added
-    common_insample: np.ndarray  # (p, n)
     common_forecast: np.ndarray  # (horizon, p)
-    idio_insample: np.ndarray  # (p, n)
     idio_forecast: np.ndarray  # (horizon, p)
-    r_used: int
-    mean_x: np.ndarray  # (p,)
-    rank_warning: str | None = None
+    predictor: CommonPredictor
+    panel: TimeSeriesPanel
+
+    @property
+    def r_used(self) -> int:
+        return self.predictor.r_used
+
+    @property
+    def rank_warning(self) -> str | None:
+        return self.predictor.rank_warning
+
+    @cached_property
+    def common_insample(self) -> np.ndarray:  # (p, n)
+        return forecast_common_restricted(self.predictor, self.panel, 0)[0]
+
+    @cached_property
+    def idio_insample(self) -> np.ndarray:  # (p, n)
+        return self.panel.values - self.common_insample
 
 
 @dataclass(frozen=True)
@@ -122,31 +140,15 @@ def forecast_idio(fit: VarFit, xi_insample: np.ndarray, horizon: int) -> np.ndar
 
 
 def combine_forecasts(
-    common_insample: np.ndarray,
     common_fc: np.ndarray,
-    idio_insample: np.ndarray,
     idio_fc: np.ndarray,
-    mean_x: np.ndarray,
-    r_used: int,
-    rank_warning: str | None = None,
+    predictor: CommonPredictor,
+    panel: TimeSeriesPanel,
 ) -> ForecastResult:
-    """Stack the component forecasts and restore the sample means."""
+    """Stack the component forecasts and restore the panel's sample means."""
     if common_fc.shape != idio_fc.shape:
         raise DimensionError("component forecasts must have equal shapes")
-    if common_insample.shape != idio_insample.shape:
-        raise DimensionError("in-sample components must have equal shapes")
-    if mean_x.shape != (common_fc.shape[1],):
+    if panel.mean_x.shape != (common_fc.shape[1],):
         raise DimensionError("mean vector length must match the variable count")
-    horizon = common_fc.shape[0]
-    forecast = common_fc + idio_fc + mean_x[None, :]
-    return ForecastResult(
-        horizon=horizon,
-        forecast=forecast,
-        common_insample=common_insample,
-        common_forecast=common_fc,
-        idio_insample=idio_insample,
-        idio_forecast=idio_fc,
-        r_used=r_used,
-        mean_x=np.asarray(mean_x, dtype=float),
-        rank_warning=rank_warning,
-    )
+    forecast = common_fc + idio_fc + panel.mean_x[None, :]
+    return ForecastResult(common_fc.shape[0], forecast, common_fc, idio_fc, predictor, panel)

@@ -71,7 +71,6 @@ class FittedModel:
     predictor: CommonPredictor
     precision: PrecisionFit | None
     mean_x: np.ndarray
-    seed: int = 111
     input_path: str | None = None
     panel: TimeSeriesPanel | None = None
     q_selection: FactorNumberSelection | None = None
@@ -99,22 +98,38 @@ def fit(
     threshold: str | float = "off",
     lrpc: bool = True,
     lrpc_adaptive: bool = False,
-    seed: int = 111,
     input_path: str | None = None,
 ) -> FittedModel:
     """Run factor adjustment, sparse VAR estimation and precision estimation.
 
     ``q`` pins the factor number; otherwise it is selected by the requested
-    method. ``threshold`` is "off", "adaptive" or a literal value applied to
-    the coefficient matrix. With ``lrpc`` the innovation and long-run
-    precision matrices are estimated with the constraint width tuned by the
-    divergence validation score.
+    method. ``threshold`` is "off", "adaptive" or a non-negative number (or
+    numeric string) applied to the coefficient matrix. With ``lrpc`` the
+    innovation and long-run precision matrices are estimated with the
+    constraint width tuned by the divergence validation score. Every option
+    is checked before any numerical work; a bad value raises ``UsageError``.
     """
     model_kind = "restricted" if restricted else "unrestricted"
     if method not in ("lasso", "ds"):
         raise UsageError(f"unknown estimation method {method!r}")
     if tuning not in ("cv", "ebic"):
         raise UsageError(f"unknown tuning method {tuning!r}")
+    if q_method not in ("ic", "er"):
+        raise UsageError(f"unknown factor-number method {q_method!r}")
+    if ic_variant not in range(1, 7):
+        raise UsageError(f"information criterion variant {ic_variant!r} outside 1..6")
+    if threshold not in ("off", "adaptive"):
+        try:
+            threshold = float(threshold)
+        except (TypeError, ValueError):
+            raise UsageError(
+                f"--threshold must be 'off', 'adaptive' or a number, got {threshold!r}"
+            ) from None
+        if not threshold >= 0:
+            raise UsageError("threshold must be non-negative")
+    orders = tuple(sorted(set(int(o) for o in orders)))
+    if not orders or orders[0] < 1:
+        raise UsageError("candidate orders must be positive integers")
     m = default_bandwidth(panel.n) if bandwidth is None else bandwidth
     if m < 1 or m > panel.n - 1:
         raise DimensionError(f"bandwidth {m} outside 1..{panel.n - 1}")
@@ -129,51 +144,46 @@ def fit(
             q_selection = select_factor_number_ic(
                 panel, model_kind=model_kind, variant=ic_variant
             )
-        elif q_method == "er":
-            q_selection = select_factor_number_er(panel, model_kind=model_kind)
         else:
-            raise UsageError(f"unknown factor-number method {q_method!r}")
+            q_selection = select_factor_number_er(panel, model_kind=model_kind)
         q_used = q_selection.q_hat
     else:
         if q < 0 or q > panel.p:
             raise DimensionError(f"factor number {q} outside 0..{panel.p}")
         q_used = q
 
-    orders = tuple(sorted(set(int(o) for o in orders)))
-    if not orders or orders[0] < 1:
-        raise UsageError("candidate orders must be positive integers")
     factor = factor_adjust(panel, model_kind, q_used, m, max(orders))
+    systems = {d: build_yule_walker(factor.acv_xi, d) for d in orders}
+    # Static rank of the common-component predictor: the restricted model's
+    # factor number, otherwise selected on the lag-0 covariance.
+    if q_used == 0 or model_kind == "restricted":
+        r_forecast = q_used
+    else:
+        r_forecast = select_factor_number_ic(panel, model_kind="restricted").q_hat
+    predictor = common_predictor(factor.acv_chi, r_forecast, m)
+    del factor  # from here on only the systems and the predictor are read
 
-    sys_top = build_yule_walker(factor.acv_xi, max(orders))
-    grid = lambda_grid(sys_top, path_length, method)
+    grid = lambda_grid(systems[max(orders)], path_length, method)
     moments = None
     if tuning == "cv" or lrpc:
-        moments = segment_moments(panel, model_kind, q_used, n_folds, bandwidth, max(orders))
+        moments = segment_moments(panel, model_kind, q_used, n_folds, bandwidth, orders)
     if tuning == "cv":
-        var_tuning = cv_var(moments, panel.n, method, grid, orders)
+        var_tuning = cv_var(moments, panel.n, method, grid)
     else:
-        var_tuning = ebic_var(factor.acv_xi, panel.n, method, grid, orders, alpha)
+        var_tuning = ebic_var(systems, panel.n, method, grid, alpha)
     d_hat = var_tuning.selected_order
     lam_hat = var_tuning.selected_lambda
     # The refit sees the whole sample, so the penalty tuned on the shorter
     # training segments is shrunk by the square-root sample-size ratio.
     lam_refit = lam_hat * var_tuning.refit_scale
 
-    sys_hat = sys_top if d_hat == sys_top.order else build_yule_walker(factor.acv_xi, d_hat)
-    var_fit = fit_var(sys_hat, method, lam_refit)
-    gamma_hat = innovation_covariance(sys_hat, var_fit.beta)
-
-    t_value: float | None
-    if threshold == "off":
-        t_value = None
-    elif threshold == "adaptive":
-        t_value = adaptive_threshold(var_fit.beta, panel.p * panel.p * d_hat)
-    else:
-        t_value = float(threshold)
-        if t_value < 0:
-            raise UsageError("threshold must be non-negative")
-
-    var_fit = replace(var_fit, innovation_cov=gamma_hat, threshold=t_value)
+    var_fit = fit_var(systems[d_hat], method, lam_refit)
+    gamma_hat = innovation_covariance(systems[d_hat], var_fit.beta)
+    if threshold == "adaptive":
+        threshold = adaptive_threshold(var_fit.beta, panel.p * panel.p * d_hat)
+    var_fit = replace(
+        var_fit, innovation_cov=gamma_hat, threshold=None if threshold == "off" else threshold
+    )
 
     precision = None
     eta_tuning = None
@@ -185,14 +195,6 @@ def fit(
         eta_hat = eta_tuning.selected_lambda * eta_tuning.refit_scale
         prec = fit_precision(gamma_hat, eta_hat, panel.n, lrpc_adaptive)
         precision = with_partial_correlations(longrun_precision(var_fit, prec))
-    del moments  # tuning is done; free the segment moments before the rank search
-
-    # Static rank of the common-component predictor: the restricted model's
-    # factor number, otherwise selected on the lag-0 covariance.
-    if q_used == 0 or model_kind == "restricted":
-        r_forecast = q_used
-    else:
-        r_forecast = select_factor_number_ic(panel, model_kind="restricted").q_hat
 
     return FittedModel(
         model_kind=model_kind,
@@ -200,10 +202,9 @@ def fit(
         r_forecast=r_forecast,
         bandwidth=m,
         var_fit=var_fit,
-        predictor=common_predictor(factor.acv_chi, r_forecast, m),
+        predictor=predictor,
         precision=precision,
         mean_x=panel.mean_x,
-        seed=seed,
         input_path=input_path,
         panel=panel,
         q_selection=q_selection,
@@ -289,7 +290,6 @@ def to_document(model: FittedModel) -> dict:
         },
         "mean_x": model.mean_x.tolist(),
         "provenance": {
-            "seed": model.seed,
             "input": model.input_path,
             "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         },
@@ -297,52 +297,70 @@ def to_document(model: FittedModel) -> dict:
 
 
 def from_document(doc: dict) -> FittedModel:
-    """Model from its JSON document, without the panel and tuning records."""
+    """Model from its JSON document, without the panel and tuning records.
+
+    A missing field, or a block that disagrees with the coefficient matrix on
+    the variable count p, raises ``UsageError`` naming it.
+    """
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise UsageError(
             f"unsupported model schema {doc.get('schema_version')!r}; expected"
             f" {SCHEMA_VERSION}: refit the model to write a current document"
         )
-    var_block = doc["var"]
-    var_fit = VarFit(
-        order=int(var_block["order"]),
-        beta=np.asarray(var_block["beta"], dtype=float),
-        method=var_block["method"],
-        lam=float(var_block["lambda"]),
-        innovation_cov=np.asarray(var_block["Gamma_hat"], dtype=float),
-        threshold=None if var_block["threshold"] is None else float(var_block["threshold"]),
-    )
-    precision = None
-    if doc.get("lrpc") is not None:
-        block = doc["lrpc"]
-        precision = with_partial_correlations(
-            longrun_precision(
-                var_fit,
-                PrecisionFit(
-                    innovation_precision=np.asarray(block["Delta"], dtype=float),
-                    eta=float(block["eta"]),
-                    adaptive=bool(block["adaptive"]),
-                ),
-            )
+    try:
+        var_block, pred_block = doc["var"], doc["predictor"]
+        var_fit = VarFit(
+            order=int(var_block["order"]),
+            beta=np.asarray(var_block["beta"], dtype=float),
+            method=var_block["method"],
+            lam=float(var_block["lambda"]),
+            innovation_cov=np.asarray(var_block["Gamma_hat"], dtype=float),
+            threshold=None if var_block["threshold"] is None else float(var_block["threshold"]),
         )
-    block = doc["predictor"]
-    return FittedModel(
-        model_kind=doc["model_kind"],
-        q_or_r=int(doc["q_or_r"]),
-        r_forecast=int(doc["r_forecast"]),
-        bandwidth=int(doc["bandwidth"]),
-        var_fit=var_fit,
-        predictor=CommonPredictor(
-            basis=np.asarray(block["basis"], dtype=float),
-            inv_vals=np.asarray(block["inv_vals"], dtype=float),
-            cross=np.asarray(block["cross"], dtype=float),
-            rank_warning=block["rank_warning"],
-        ),
-        precision=precision,
-        mean_x=np.asarray(doc["mean_x"], dtype=float),
-        seed=int(doc["provenance"]["seed"]),
-        input_path=doc["provenance"]["input"],
-    )
+        predictor = CommonPredictor(
+            basis=np.asarray(pred_block["basis"], dtype=float),
+            inv_vals=np.asarray(pred_block["inv_vals"], dtype=float),
+            cross=np.asarray(pred_block["cross"], dtype=float),
+            rank_warning=pred_block["rank_warning"],
+        )
+        mean_x = np.asarray(doc["mean_x"], dtype=float)
+        lrpc = doc.get("lrpc")
+        delta = None if lrpc is None else np.asarray(lrpc["Delta"], dtype=float)
+        p = var_fit.beta.shape[-1] if var_fit.beta.ndim == 2 else 0
+        for name, shape, want in (
+            ("var.beta", var_fit.beta.shape, (p * var_fit.order, p)),
+            ("var.Gamma_hat", var_fit.innovation_cov.shape, (p, p)),
+            ("predictor.basis", predictor.basis.shape[:1], (p,)),
+            ("mean_x", mean_x.shape, (p,)),
+            ("lrpc.Delta", (p, p) if delta is None else delta.shape, (p, p)),
+        ):
+            if shape != want:
+                raise UsageError(f"model document field {name} has shape {shape}, not {want}")
+        precision = None
+        if lrpc is not None:
+            precision = with_partial_correlations(
+                longrun_precision(
+                    var_fit,
+                    PrecisionFit(
+                        innovation_precision=delta,
+                        eta=float(lrpc["eta"]),
+                        adaptive=bool(lrpc["adaptive"]),
+                    ),
+                )
+            )
+        return FittedModel(
+            model_kind=doc["model_kind"],
+            q_or_r=int(doc["q_or_r"]),
+            r_forecast=int(doc["r_forecast"]),
+            bandwidth=int(doc["bandwidth"]),
+            var_fit=var_fit,
+            predictor=predictor,
+            precision=precision,
+            mean_x=mean_x,
+            input_path=doc["provenance"]["input"],
+        )
+    except KeyError as err:
+        raise UsageError(f"model document has no field {err.args[0]!r}") from None
 
 
 def write_json(path: str, payload: dict | str | bytes) -> None:
@@ -372,13 +390,9 @@ def predict(model: FittedModel, panel: TimeSeriesPanel, horizon: int) -> Forecas
     panel, so nothing is re-estimated and a reloaded model forecasts like the
     one kept in memory. Another variable count raises ``DimensionError``.
     """
-    pred = model.predictor
-    common_is, common_fc = forecast_common_restricted(pred, panel, horizon)
-    idio_is = panel.values - common_is
-    idio_fc = forecast_idio(model.var_fit, idio_is, horizon)
-    return combine_forecasts(
-        common_is, common_fc, idio_is, idio_fc, panel.mean_x, pred.r_used, pred.rank_warning
-    )
+    common_is, common_fc = forecast_common_restricted(model.predictor, panel, horizon)
+    idio_fc = forecast_idio(model.var_fit, panel.values - common_is, horizon)
+    return combine_forecasts(common_fc, idio_fc, model.predictor, panel)
 
 
 def predict_model(model: FittedModel, horizon: int) -> ForecastResult:

@@ -85,27 +85,25 @@ class TimeSeriesPanel:
 
 @dataclass(frozen=True)
 class AcvSequence:
-    """Autocovariance matrices of a labelled process at lags 0..max_lag.
+    """Autocovariance matrices at lags 0..max_lag.
 
     Negative lags are never stored: the estimator defines them through
     transposition, so ``at(-k)`` returns ``at(k).T``.
     """
 
-    process_label: str
-    max_lag: int
     matrices: np.ndarray  # (max_lag + 1, p, p)
 
     def __post_init__(self):
-        if self.process_label not in ("x", "chi", "xi"):
-            raise DataError(f"unknown process label {self.process_label!r}")
         mats = np.asarray(self.matrices, dtype=float)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise DimensionError("ACV storage must be a stack of square matrices")
-        if mats.shape[0] != self.max_lag + 1:
-            raise DimensionError("ACV storage must hold lags 0..max_lag")
         if not np.all(np.isfinite(mats)):
             raise DataError("ACV matrices contain non-finite values")
         object.__setattr__(self, "matrices", _frozen(mats))
+
+    @property
+    def max_lag(self) -> int:
+        return self.matrices.shape[0] - 1
 
     @property
     def p(self) -> int:
@@ -218,4 +216,4 @@ def sample_acv(panel: TimeSeriesPanel, max_lag: int) -> AcvSequence:
             mats[0] = x @ x.T / n
         else:
             mats[lag] = x[:, :-lag] @ x[:, lag:].T / n
-    return AcvSequence("x", max_lag, mats)
+    return AcvSequence(mats)

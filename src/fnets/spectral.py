@@ -100,8 +100,8 @@ def factor_adjust_unrestricted(
     # Each w > 0 also stands for -w.
     weight = np.where(k == 0, 1.0, 2.0) * (2.0 * np.pi / (2 * m + 1))
     chi = (np.cos(arg) * weight) @ common.real - (np.sin(arg) * weight) @ common.imag
-    acv_chi = AcvSequence("chi", m, chi.reshape(m + 1, p, p))
-    acv_xi = AcvSequence("xi", m, acv_x.matrices - acv_chi.matrices)
+    acv_chi = AcvSequence(chi.reshape(m + 1, p, p))
+    acv_xi = AcvSequence(acv_x.matrices - acv_chi.matrices)
     return FactorAdjustment(acv_x, acv_chi, acv_xi)
 
 
@@ -121,8 +121,8 @@ def factor_adjust_restricted(
     lead_vecs = vecs[:, ::-1][:, :r]
     proj = lead_vecs @ lead_vecs.T
     resid = np.eye(panel.p) - proj
-    acv_chi = AcvSequence("chi", max_lag, proj @ acv_x.matrices @ proj)
-    acv_xi = AcvSequence("xi", max_lag, resid @ acv_x.matrices @ resid)
+    acv_chi = AcvSequence(proj @ acv_x.matrices @ proj)
+    acv_xi = AcvSequence(resid @ acv_x.matrices @ resid)
     return FactorAdjustment(acv_x, acv_chi, acv_xi)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError, NumericalError, SolverError, UsageError
-from .panel import AcvSequence, TimeSeriesPanel
+from .panel import TimeSeriesPanel
 from .precision import PrecisionFit, aclime, aclime_step_one, clime
 from .spectral import default_bandwidth, factor_adjust
 from .threshold_select import adaptive_threshold
@@ -51,11 +51,11 @@ class TuningResult:
 
 @dataclass(frozen=True)
 class SegmentMoments:
-    """Idiosyncratic autocovariances of one fold's training and test segments."""
+    """Yule-Walker systems of one fold's training and test segments, by order."""
 
     n_train: int
-    train: AcvSequence
-    test: AcvSequence
+    train: dict[int, YuleWalkerSystem]
+    test: dict[int, YuleWalkerSystem]
 
 
 def _refit_scale(moments: list[SegmentMoments], n: int) -> float:
@@ -88,21 +88,22 @@ def segment_moments(
     q: int,
     n_folds: int,
     bandwidth: int | None,
-    max_lag: int,
+    orders: tuple[int, ...],
 ) -> list[SegmentMoments]:
-    """Idiosyncratic ACV of every fold's training and test segments at lags
-    0..``max_lag``, adjusted at ``bandwidth`` or each segment's default when it
-    is None. Every validation score reads these, so each segment is adjusted
-    once, and the deeper lags the kernel needed are dropped."""
+    """Yule-Walker system at each of ``orders`` for every fold's training and
+    test segments, factor-adjusted at ``bandwidth`` or each segment's default
+    when it is None. Every validation score reads these, so each segment is
+    adjusted once and each system built once; the autocovariances are dropped."""
     out = []
     for fold in make_folds(panel.n, n_folds):
-        acv = []
+        systems = []
         for seg in (fold.train, fold.test):
             sub = panel.time_slice(seg.start, seg.stop)
             m = default_bandwidth(sub.n) if bandwidth is None else bandwidth
-            xi = factor_adjust(sub, model_kind, q, m, max_lag).acv_xi.matrices
-            acv.append(AcvSequence("xi", max_lag, xi[: max_lag + 1]))
-        out.append(SegmentMoments(len(fold.train), *acv))
+            acv_xi = factor_adjust(sub, model_kind, q, m, max(orders)).acv_xi
+            systems.append({d: build_yule_walker(acv_xi, d) for d in orders})
+            del acv_xi  # freed before the next segment is adjusted
+        out.append(SegmentMoments(len(fold.train), *systems))
     return out
 
 
@@ -194,19 +195,14 @@ def cv_var(
     n: int,
     method: str,
     grid: np.ndarray,
-    orders: tuple[int, ...],
 ) -> TuningResult:
-    """Rolling validation over the penalty grid and candidate orders.
-
-    ``moments`` are the segment moments of an n-point panel, to lag at least
-    max(orders).
-    """
-    orders = tuple(sorted(orders))
+    """Rolling validation over the penalty grid and the candidate orders,
+    which are those of the segment moments of an n-point panel."""
+    orders = tuple(sorted(moments[0].train))
     scores = np.zeros((len(orders), len(grid)))
     for seg in moments:
         for oi, order in enumerate(orders):
-            sys_tr = build_yule_walker(seg.train, order)
-            sys_te = build_yule_walker(seg.test, order)
+            sys_tr, sys_te = seg.train[order], seg.test[order]
             bases: dict[int, np.ndarray] = {}
             for gi, lam in enumerate(grid):
                 fit = fit_var(sys_tr, method, float(lam), bases)
@@ -245,14 +241,14 @@ def cv_delta(
     programmes are infeasible, score infinity. Each fold walks the grid with
     every column warm-started from its previous optimal basis; the adaptive
     first step, which does not depend on the width, runs once per fold.
-    ``moments`` are as in :func:`cv_var`, to lag at least ``order``.
+    ``moments`` are as in :func:`cv_var`, with systems at ``order``.
     """
     scores = np.zeros(len(grid))
     for seg in moments:
-        sys_tr = build_yule_walker(seg.train, order)
+        sys_tr = seg.train[order]
         beta_tr = fit_var(sys_tr, method, lam).beta
         gamma_tr = innovation_covariance(sys_tr, beta_tr)
-        gamma_te = _innovation_quadform(build_yule_walker(seg.test, order), beta_tr)
+        gamma_te = _innovation_quadform(seg.test[order], beta_tr)
         sign_te = np.linalg.slogdet(gamma_te)[0]
         n_tr = seg.n_train
         step_one = None
@@ -303,25 +299,24 @@ def log_binomial(total: int, chosen: int) -> float:
 
 
 def ebic_var(
-    acv_xi: AcvSequence,
+    systems: dict[int, YuleWalkerSystem],
     n: int,
     method: str,
     grid: np.ndarray,
-    orders: tuple[int, ...],
     alpha: float = 0.0,
 ) -> TuningResult:
     """Extended information criterion over the penalty grid and orders.
 
-    ``acv_xi`` is the idiosyncratic autocovariance of the fit's own factor
-    adjustment, to lag at least max(orders), estimated from n observations.
-    Coefficients are hard-thresholded at the adaptive threshold before the
-    support is counted and the quadratic loss evaluated.
+    ``systems`` holds the fit's own full-sample Yule-Walker system at each
+    candidate order, estimated from n observations. Coefficients are
+    hard-thresholded at the adaptive threshold before the support is counted
+    and the quadratic loss evaluated.
     """
-    orders = tuple(sorted(orders))
-    p = acv_xi.p
+    orders = tuple(sorted(systems))
+    p = systems[orders[0]].p
     scores = np.zeros((len(orders), len(grid)))
     for oi, order in enumerate(orders):
-        sys = build_yule_walker(acv_xi, order)
+        sys = systems[order]
         bases: dict[int, np.ndarray] = {}
         for gi, lam in enumerate(grid):
             fit = fit_var(sys, method, float(lam), bases)

@@ -86,8 +86,8 @@ def _order_selection(n, p, d, method, reps, seed_base):
         panel = make_panel(sim.data, center=True)
         fa = factor_adjust_unrestricted(panel, 0)
         grid = lambda_grid(build_yule_walker(fa.acv_xi, 4), 10, method)
-        moments = segment_moments(panel, "unrestricted", 0, 1, None, 4)
-        tr = cv_var(moments, panel.n, method, grid, (1, 2, 3, 4))
+        moments = segment_moments(panel, "unrestricted", 0, 1, None, (1, 2, 3, 4))
+        tr = cv_var(moments, panel.n, method, grid)
         hits += tr.selected_order == d
     return hits
 

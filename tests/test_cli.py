@@ -172,6 +172,11 @@ class TestFitCommand:
         delta = np.asarray(doc["lrpc"]["Delta"])
         assert np.array_equal(delta, delta.T)
 
+    def test_bad_threshold_usage_error(self, panel_csv, capsys):
+        code, _, err = run(capsys, "fit", panel_csv, "--q", "0", "--threshold", "adaptve")
+        assert code == 2
+        assert "--threshold must be 'off', 'adaptive' or a number, got 'adaptve'" in err
+
     def test_adaptive_threshold_reported(self, panel_csv, capsys):
         code, out, _ = run(
             capsys, "fit", panel_csv, "--q", "0", "--no-lrpc", "--threshold", "adaptive"
@@ -250,6 +255,30 @@ class TestForecastCommand:
         rows = open(out).read().strip().splitlines()
         assert len(rows) == 2
         assert len(rows[1].split(",")) == 8
+
+    @pytest.mark.parametrize("command", ("forecast", "export"))
+    def test_document_without_predictor_usage_error(self, panel_csv, tmp_path, capsys, command):
+        model = str(tmp_path / "model.json")
+        run(capsys, "fit", panel_csv, "--q", "1", "--no-lrpc", "--out", model)
+        doc = json.loads(open(model).read())
+        del doc["predictor"]
+        with open(model, "w") as fh:
+            json.dump(doc, fh)
+        extra = ("--ahead", "1") if command == "forecast" else ("--type", "granger")
+        code, _, err = run(capsys, command, "--model", model, *extra)
+        assert code == 2
+        assert "'predictor'" in err
+
+    def test_document_with_short_mean_x_usage_error(self, panel_csv, tmp_path, capsys):
+        model = str(tmp_path / "model.json")
+        run(capsys, "fit", panel_csv, "--q", "1", "--no-lrpc", "--out", model)
+        doc = json.loads(open(model).read())
+        doc["mean_x"].pop()
+        with open(model, "w") as fh:
+            json.dump(doc, fh)
+        code, _, err = run(capsys, "forecast", "--model", model, "--ahead", "1")
+        assert code == 2
+        assert "mean_x" in err
 
     def test_missing_model_usage_error(self, capsys, tmp_path):
         code, _, err = run(

@@ -4,12 +4,13 @@ import pytest
 from conftest import make_panel
 from fnets.errors import DimensionError
 from fnets.forecast import (
+    CommonPredictor,
     combine_forecasts,
     common_predictor,
     forecast_common_restricted,
     forecast_idio,
 )
-from fnets.panel import AcvSequence
+from fnets.panel import AcvSequence, TimeSeriesPanel
 from fnets.simulate import SimSpec, sim_var
 from fnets.spectral import factor_adjust_restricted, factor_adjust_unrestricted
 from fnets.var import VarFit
@@ -39,14 +40,14 @@ class TestCommonRestricted:
 
     def test_zero_cross_covariance_forecasts_zero(self):
         mats = np.stack([np.diag([4.0, 1.0]), np.zeros((2, 2))])
-        acv = AcvSequence("chi", 1, mats)
+        acv = AcvSequence(mats)
         panel = make_panel(np.array([[1.0, 2.0], [0.5, -0.5]]))
         _, fc = forecast_common_restricted(common_predictor(acv, 2, 1), panel, 1)
         assert np.max(np.abs(fc)) == 0.0
 
     def test_hand_axis_aligned_case(self):
         mats = np.stack([np.diag([4.0, 0.0]), np.array([[2.0, 0.0], [0.0, 0.0]])])
-        acv = AcvSequence("chi", 1, mats)
+        acv = AcvSequence(mats)
         panel = make_panel(np.array([[0.0, 1.0], [0.0, 0.0]]))
         pred = common_predictor(acv, 1, 1)
         _, fc = forecast_common_restricted(pred, panel, 1)
@@ -113,38 +114,40 @@ class TestIdioForecast:
             forecast_idio(fit, np.zeros((2, 5)), 0)
 
 
+def rank_zero(p, depth=1):
+    return CommonPredictor(np.zeros((p, 0)), np.zeros(0), np.zeros((depth, p, 0)))
+
+
 class TestCombine:
     def test_mean_only(self):
-        out = combine_forecasts(
-            np.zeros((2, 5)),
-            np.zeros((1, 2)),
-            np.zeros((2, 5)),
-            np.zeros((1, 2)),
-            np.array([3.0, 4.0]),
-            r_used=0,
-        )
+        panel = TimeSeriesPanel(np.zeros((2, 5)), np.array([3.0, 4.0]))
+        out = combine_forecasts(np.zeros((1, 2)), np.zeros((1, 2)), rank_zero(2), panel)
         assert out.forecast.tolist() == [[3.0, 4.0]]
 
     def test_exact_reassembly(self, rng):
-        common = rng.standard_normal((3, 10))
-        idio = rng.standard_normal((3, 10))
         cfc = rng.standard_normal((2, 3))
         ifc = rng.standard_normal((2, 3))
         mean = rng.standard_normal(3)
-        out = combine_forecasts(common, cfc, idio, ifc, mean, r_used=1)
+        panel = TimeSeriesPanel(np.zeros((3, 10)), mean)
+        out = combine_forecasts(cfc, ifc, rank_zero(3), panel)
         assert np.array_equal(out.forecast, cfc + ifc + mean[None, :])
         assert out.horizon == 2
 
     def test_shape_mismatch(self):
+        panel = TimeSeriesPanel(np.zeros((2, 5)), np.zeros(2))
         with pytest.raises(DimensionError):
-            combine_forecasts(
-                np.zeros((2, 5)),
-                np.zeros((1, 2)),
-                np.zeros((2, 5)),
-                np.zeros((2, 2)),
-                np.zeros(2),
-                r_used=0,
-            )
+            combine_forecasts(np.zeros((1, 2)), np.zeros((2, 2)), rank_zero(2), panel)
+
+    def test_insample_split_computed_when_read(self, rng):
+        # A forecast keeps no p x n array until its in-sample parts are read.
+        x = rng.standard_normal((4, 60))
+        panel = TimeSeriesPanel(x - x.mean(1, keepdims=True), x.mean(1))
+        pred = common_predictor(factor_adjust_restricted(panel, 2, 2).acv_chi, 2, 2)
+        out = combine_forecasts(np.zeros((1, 4)), np.zeros((1, 4)), pred, panel)
+        assert "common_insample" not in vars(out) and "idio_insample" not in vars(out)
+        insample, _ = forecast_common_restricted(pred, panel, 0)
+        assert np.array_equal(out.common_insample, insample)
+        assert np.array_equal(out.idio_insample, panel.values - insample)
 
 
 class TestShiftEquivariance:

@@ -1,13 +1,18 @@
+import functools
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import make_panel
 from fnets import model as model_mod
+from fnets import tuning
 from fnets.errors import DataError, DimensionError, UsageError
 from fnets.factor_number import select_factor_number_ic
 from fnets.simulate import SimSpec, metrics, sim_restricted, sim_unrestricted, sim_var
+from fnets.spectral import factor_adjust
+from fnets.var import YuleWalkerSystem, build_yule_walker
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +68,37 @@ class TestFit:
         monkeypatch.setattr(model_mod, "select_factor_number_ic", fail)
         with pytest.raises(DataError, match="constant series: x6;"):
             model_mod.fit(panel)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        (
+            dict(threshold="adaptve"),
+            dict(threshold=-0.1),
+            dict(threshold="-1"),
+            dict(threshold=float("nan")),
+            dict(q=1, q_method="bogus"),
+            dict(ic_variant=9),
+            dict(ic_variant=0),
+        ),
+        ids=(
+            "threshold-typo", "threshold-negative", "threshold-negative-string",
+            "threshold-nan", "q-method", "ic-variant-9", "ic-variant-0",
+        ),
+    )
+    def test_bad_option_rejected_before_numerical_work(self, kwargs, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("options must be checked before any numerical work")
+
+        monkeypatch.setattr(model_mod, "select_factor_number_ic", fail)
+        monkeypatch.setattr(model_mod, "factor_adjust", fail)
+        panel = make_panel(np.random.default_rng(0).standard_normal((4, 60)))
+        with pytest.raises(UsageError):
+            model_mod.fit(panel, **kwargs)
+
+    def test_numeric_threshold_string_accepted(self):
+        panel = make_panel(np.random.default_rng(3).standard_normal((4, 80)))
+        fitted = model_mod.fit(panel, q=0, orders=(1,), threshold="0.05", lrpc=False)
+        assert fitted.var_fit.threshold == 0.05
 
     @pytest.mark.parametrize("seed", (103, 106, 108))
     def test_restricted_fits_with_rank_deficient_moments(self, seed):
@@ -146,9 +182,35 @@ class TestDocument:
         # The tuning records are not stored, so their lines are absent.
         assert set(text.splitlines()[2:]) <= set(model_mod.report(small_model).splitlines())
 
+    @pytest.mark.parametrize(
+        "field, breaks",
+        (
+            ("'predictor'", lambda doc: doc.pop("predictor")),
+            ("'beta'", lambda doc: doc["var"].pop("beta")),
+            ("mean_x", lambda doc: doc["mean_x"].pop()),
+            ("var.beta", lambda doc: doc["var"].update(order=2)),
+            ("var.Gamma_hat", lambda doc: doc["var"]["Gamma_hat"].pop()),
+            ("predictor.basis", lambda doc: doc["predictor"]["basis"].pop()),
+            ("lrpc.Delta", lambda doc: doc["lrpc"].update(Delta=np.eye(5).tolist())),
+        ),
+        ids=(
+            "no-predictor", "no-beta", "short-mean_x", "order-mismatch",
+            "short-Gamma_hat", "short-basis", "small-Delta",
+        ),
+    )
+    def test_malformed_document_names_the_field(self, small_model, field, breaks):
+        doc = json.loads(json.dumps(model_mod.to_document(small_model)))
+        breaks(doc)
+        with pytest.raises(UsageError, match=field):
+            model_mod.from_document(doc)
+
+    def test_document_with_seed_still_loads(self, small_model):
+        doc = json.loads(json.dumps(model_mod.to_document(small_model)))
+        doc["provenance"]["seed"] = 111
+        assert model_mod.from_document(doc).p == small_model.p
+
     def test_document_has_provenance(self, small_model):
         doc = model_mod.to_document(small_model)
-        assert doc["provenance"]["seed"] == 111
         assert doc["provenance"]["input"] == "panel.csv"
         assert "created" in doc["provenance"]
 
@@ -216,3 +278,57 @@ class TestPredict:
         reloaded = model_mod.predict(loaded, small_model.panel, 2)
         assert np.array_equal(in_memory.forecast, reloaded.forecast)
         assert in_memory.r_used == reloaded.r_used
+
+
+class TestMomentSystems:
+    """Each (sample, order) Yule-Walker system is built once per fit."""
+
+    @staticmethod
+    def _panel():
+        spec = SimSpec(n=300, p=10, q=1, seed=2)
+        return make_panel(sim_var(spec).data + sim_unrestricted(spec), center=True)
+
+    def test_lrpc_cv_fit_builds_three_systems(self, monkeypatch):
+        # One full-sample system and one per segment, shared by cv_var and cv_delta.
+        built = []
+
+        def counted(acv, order):
+            built.append(order)
+            return build_yule_walker(acv, order)
+
+        monkeypatch.setattr(model_mod, "build_yule_walker", counted)
+        monkeypatch.setattr(tuning, "build_yule_walker", counted)
+        model_mod.fit(self._panel(), q=1, orders=(1,), lrpc=True)
+        assert built == [1, 1, 1]
+
+    def test_ebic_fit_prepares_each_gram_once(self, monkeypatch):
+        prepare = YuleWalkerSystem.prepared.func
+        prepared = []
+
+        def counted(sys):
+            prepared.append(sys.order)
+            return prepare(sys)
+
+        spy = functools.cached_property(counted)
+        spy.__set_name__(YuleWalkerSystem, "prepared")
+        monkeypatch.setattr(YuleWalkerSystem, "prepared", spy)
+        model_mod.fit(self._panel(), q=1, tuning="ebic", orders=(1, 2), lrpc=False)
+        assert sorted(prepared) == [1, 2]
+
+    def test_full_sample_adjustment_freed_before_segments(self, monkeypatch):
+        refs = []
+        freed = []
+
+        def adjust(*args):
+            out = factor_adjust(*args)
+            refs.append(weakref.ref(out))
+            return out
+
+        def segments(*args):
+            freed.extend(ref() is None for ref in refs)
+            return tuning.segment_moments(*args)
+
+        monkeypatch.setattr(model_mod, "factor_adjust", adjust)
+        monkeypatch.setattr(model_mod, "segment_moments", segments)
+        model_mod.fit(self._panel(), q=1, orders=(1,), lrpc=True)
+        assert freed == [True]

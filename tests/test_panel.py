@@ -143,9 +143,12 @@ class TestAcvSequence:
             )
 
     def test_out_of_range_lag(self):
-        acv = AcvSequence("x", 1, np.zeros((2, 2, 2)))
+        acv = AcvSequence(np.zeros((2, 2, 2)))
         with pytest.raises(DimensionError):
             acv.at(2)
+
+    def test_max_lag_is_stack_depth(self):
+        assert AcvSequence(np.zeros((4, 2, 2))).max_lag == 3
 
     @given(st.integers(min_value=0, max_value=3))
     @settings(max_examples=20, deadline=None)

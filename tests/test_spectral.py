@@ -22,7 +22,7 @@ from oracles import (
 
 def scalar_acv(values):
     arr = np.array(values, dtype=float).reshape(-1, 1, 1)
-    return AcvSequence("x", arr.shape[0] - 1, arr)
+    return AcvSequence(arr)
 
 
 class TestDefaultBandwidth:
@@ -114,7 +114,7 @@ class TestDynamicPca:
         assert np.max(np.abs(recon - spectral_matrices(acv, 5))) <= 1e-10
 
     def test_leading_eigenpair_diagonal(self):
-        acv = AcvSequence("x", 1, np.array([np.diag([3.0, 1.0]), np.zeros((2, 2))]))
+        acv = AcvSequence(np.array([np.diag([3.0, 1.0]), np.zeros((2, 2))]))
         vals, vecs = bartlett_spectral_density(acv, 1)
         assert np.allclose(vals, np.array([3.0, 1.0]) / (2 * np.pi))
         assert np.allclose(np.abs(vecs[:, :, 0]), [1.0, 0.0])

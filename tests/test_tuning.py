@@ -30,9 +30,9 @@ def oracle_panel(seed, n=200, p=10, d=1):
     return make_panel(sim.data, center=True)
 
 
-def var_moments(panel, max_lag, n_folds=1):
+def var_moments(panel, orders, n_folds=1):
     """Segment moments of a factor-free panel at each segment's default bandwidth."""
-    return segment_moments(panel, "unrestricted", 0, n_folds, None, max_lag)
+    return segment_moments(panel, "unrestricted", 0, n_folds, None, orders)
 
 
 class TestMakeFolds:
@@ -108,7 +108,7 @@ class TestCvVar:
         panel = oracle_panel(0)
         fa = factor_adjust_unrestricted(panel, 0)
         sys = build_yule_walker(fa.acv_xi, 1)
-        tr = cv_var(var_moments(panel, 1), panel.n, "lasso", np.array([0.3]), (1,))
+        tr = cv_var(var_moments(panel, (1,)), panel.n, "lasso", np.array([0.3]))
         assert tr.selected_lambda == 0.3
         assert tr.selected_order == 1
         assert tr.score_surface.shape == (1, 1)
@@ -119,21 +119,21 @@ class TestCvVar:
             panel = oracle_panel(seed)
             fa = factor_adjust_unrestricted(panel, 0)
             grid = lambda_grid(build_yule_walker(fa.acv_xi, 4), 10, "lasso")
-            tr = cv_var(var_moments(panel, 4), panel.n, "lasso", grid, (1, 2, 3, 4))
+            tr = cv_var(var_moments(panel, (1, 2, 3, 4)), panel.n, "lasso", grid)
             hits += tr.selected_order == 1
         assert hits >= 7
 
     def test_unknown_method_usage_error(self):
         panel = oracle_panel(0)
         with pytest.raises(UsageError):
-            cv_var(var_moments(panel, 1), panel.n, "ridge", np.array([0.3]), (1,))
+            cv_var(var_moments(panel, (1,)), panel.n, "ridge", np.array([0.3]))
 
     def test_reproducible(self):
         panel = oracle_panel(4)
         fa = factor_adjust_unrestricted(panel, 0)
         grid = lambda_grid(build_yule_walker(fa.acv_xi, 2), 5, "lasso")
-        a = cv_var(var_moments(panel, 2), panel.n, "lasso", grid, (1, 2))
-        b = cv_var(var_moments(panel, 2), panel.n, "lasso", grid, (1, 2))
+        a = cv_var(var_moments(panel, (1, 2)), panel.n, "lasso", grid)
+        b = cv_var(var_moments(panel, (1, 2)), panel.n, "lasso", grid)
         assert np.array_equal(a.score_surface, b.score_surface)
         assert a.selected_lambda == b.selected_lambda
 
@@ -144,7 +144,7 @@ class TestCvVar:
         fa = factor_adjust_unrestricted(panel, 0)
         sys = build_yule_walker(fa.acv_xi, 1)
         grid = np.array([0.5, 0.05, 1e-8])
-        tr = cv_var(var_moments(panel, 1), panel.n, "lasso", grid, (1,))
+        tr = cv_var(var_moments(panel, (1,)), panel.n, "lasso", grid)
         best = tr.score_surface.min()
         chosen = tr.score_surface[0, list(grid).index(tr.selected_lambda)]
         assert chosen <= best + 1e-6
@@ -168,13 +168,13 @@ class TestCvDelta:
 
     def test_singleton_grid(self):
         panel = oracle_panel(1)
-        tr = cv_delta(var_moments(panel, 1), panel.n, "lasso", 0.2, 1, np.array([0.4]))
+        tr = cv_delta(var_moments(panel, (1,)), panel.n, "lasso", 0.2, 1, np.array([0.4]))
         assert tr.selected_lambda == 0.4
 
     def test_selects_reasonable_eta(self):
         panel = oracle_panel(3)
         grid = np.geomspace(1.0, 0.01, 8)
-        tr = cv_delta(var_moments(panel, 1), panel.n, "lasso", 0.15, 1, grid)
+        tr = cv_delta(var_moments(panel, (1,)), panel.n, "lasso", 0.15, 1, grid)
         assert tr.selected_lambda in grid
         finite = np.isfinite(tr.score_surface[0])
         assert finite.any()
@@ -183,17 +183,19 @@ class TestCvDelta:
         # A penalty above the zero-solution bound gives beta = 0, so the test
         # form is the test segment's lag-0 matrix: indefinite, det < 0.
         panel = oracle_panel(3, p=3)
-        train = var_moments(panel, 1)[0].train
-        test = AcvSequence("xi", 1, np.stack([np.diag([1.0, 0.8, -0.2]), np.zeros((3, 3))]))
-        lam = 4.0 * float(np.max(np.abs(train.at(1))))
-        grid = eta_grid(train.at(0), 5)
+        train = var_moments(panel, (1,))[0].train
+        test = {1: build_yule_walker(
+            AcvSequence(np.stack([np.diag([1.0, 0.8, -0.2]), np.zeros((3, 3))])), 1
+        )}
+        lam = 4.0 * float(np.max(np.abs(train[1].cross)))
+        grid = eta_grid(train[1].gram, 5)
         tr = cv_delta([SegmentMoments(100, train, test)], panel.n, "lasso", lam, 1, grid)
         assert np.isfinite(tr.score_surface).any()
         assert tr.selected_lambda in grid
 
     def test_score_is_stein_divergence_plus_width_free_term(self, monkeypatch):
         panel = oracle_panel(3)
-        moments = var_moments(panel, 1)
+        moments = var_moments(panel, (1,))
         deltas = []
         fit_precision = tuning.fit_precision
 
@@ -206,8 +208,8 @@ class TestCvDelta:
         grid = np.geomspace(0.5, 0.02, 6)
         tr = cv_delta(moments, panel.n, "lasso", 0.15, 1, grid)
         seg = moments[0]
-        beta = tuning.fit_var(build_yule_walker(seg.train, 1), "lasso", 0.15).beta
-        gamma_te = tuning._innovation_quadform(build_yule_walker(seg.test, 1), beta)
+        beta = tuning.fit_var(seg.train[1], "lasso", 0.15).beta
+        gamma_te = tuning._innovation_quadform(seg.test[1], beta)
         p = gamma_te.shape[0]
         stein = []
         for delta in deltas:
@@ -228,7 +230,7 @@ class TestCvDelta:
 
         monkeypatch.setattr(tuning, "aclime_step_one", counted)
         grid = np.geomspace(1.0, 0.01, 6)
-        moments = var_moments(panel, 1, n_folds=2)
+        moments = var_moments(panel, (1,), n_folds=2)
         tr = cv_delta(moments, panel.n, "lasso", 0.15, 1, grid, adaptive=True)
         assert calls == [50, 50]
         assert np.isfinite(tr.score_surface).any()
@@ -277,17 +279,19 @@ class TestEbic:
     def test_alpha_zero_drops_binomial_term(self):
         panel = oracle_panel(5)
         fa = factor_adjust_unrestricted(panel, 0)
-        grid = lambda_grid(build_yule_walker(fa.acv_xi, 2), 4, "lasso")
-        t0 = ebic_var(fa.acv_xi, panel.n, "lasso", grid, (1, 2), alpha=0.0)
+        systems = {d: build_yule_walker(fa.acv_xi, d) for d in (1, 2)}
+        grid = lambda_grid(systems[2], 4, "lasso")
+        t0 = ebic_var(systems, panel.n, "lasso", grid, alpha=0.0)
         assert np.all(np.isfinite(t0.score_surface))
 
     def test_support_non_increasing_in_alpha(self):
         panel = oracle_panel(6)
         fa = factor_adjust_unrestricted(panel, 0)
-        grid = lambda_grid(build_yule_walker(fa.acv_xi, 2), 6, "lasso")
+        systems = {d: build_yule_walker(fa.acv_xi, d) for d in (1, 2)}
+        grid = lambda_grid(systems[2], 6, "lasso")
         sizes = []
         for alpha in (0.0, 0.5, 1.0):
-            tr = ebic_var(fa.acv_xi, panel.n, "lasso", grid, (1, 2), alpha=alpha)
+            tr = ebic_var(systems, panel.n, "lasso", grid, alpha=alpha)
             sys = build_yule_walker(fa.acv_xi, tr.selected_order)
             from fnets.var import lasso_fista, threshold_matrix
             from fnets.threshold_select import select_threshold

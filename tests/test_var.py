@@ -21,7 +21,7 @@ from oracles import coordinate_descent_lasso, dantzig_column_oracle, reference_l
 
 def scalar_seq(values):
     arr = np.array(values, dtype=float).reshape(-1, 1, 1)
-    return AcvSequence("xi", arr.shape[0] - 1, arr)
+    return AcvSequence(arr)
 
 
 def random_system(rng, p=3, order=2, n=120):
@@ -35,7 +35,7 @@ def random_system(rng, p=3, order=2, n=120):
     for t in range(1, n + 50):
         x[:, t] = a @ x[:, t - 1] + eps[:, t]
     acv = sample_acv(make_panel(x[:, 50:]), order)
-    return AcvSequence("xi", order, acv.matrices)
+    return AcvSequence(acv.matrices)
 
 
 class TestYuleWalker:
