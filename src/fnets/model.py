@@ -327,10 +327,14 @@ def from_document(doc: dict) -> FittedModel:
         lrpc = doc.get("lrpc")
         delta = None if lrpc is None else np.asarray(lrpc["Delta"], dtype=float)
         p = var_fit.beta.shape[-1] if var_fit.beta.ndim == 2 else 0
+        r = predictor.basis.shape[-1] if predictor.basis.ndim == 2 else 0
+        bandwidth = int(doc["bandwidth"])
         for name, shape, want in (
             ("var.beta", var_fit.beta.shape, (p * var_fit.order, p)),
             ("var.Gamma_hat", var_fit.innovation_cov.shape, (p, p)),
-            ("predictor.basis", predictor.basis.shape[:1], (p,)),
+            ("predictor.basis", predictor.basis.shape, (p, r)),
+            ("predictor.inv_vals", predictor.inv_vals.shape, (r,)),
+            ("predictor.cross", predictor.cross.shape, (bandwidth, p, r)),
             ("mean_x", mean_x.shape, (p,)),
             ("lrpc.Delta", (p, p) if delta is None else delta.shape, (p, p)),
         ):
@@ -352,7 +356,7 @@ def from_document(doc: dict) -> FittedModel:
             model_kind=doc["model_kind"],
             q_or_r=int(doc["q_or_r"]),
             r_forecast=int(doc["r_forecast"]),
-            bandwidth=int(doc["bandwidth"]),
+            bandwidth=bandwidth,
             var_fit=var_fit,
             predictor=predictor,
             precision=precision,
@@ -389,9 +393,11 @@ def predict(model: FittedModel, panel: TimeSeriesPanel, horizon: int) -> Forecas
     The common component applies the predictor stored at fit time to this
     panel, so nothing is re-estimated and a reloaded model forecasts like the
     one kept in memory. Another variable count raises ``DimensionError``.
+    It reads only the last max(order, 2) points (a panel needs two).
     """
-    common_is, common_fc = forecast_common_restricted(model.predictor, panel, horizon)
-    idio_fc = forecast_idio(model.var_fit, panel.values - common_is, horizon)
+    tail = panel.time_slice(panel.n - min(panel.n, max(model.var_fit.order, 2)), panel.n)
+    common_is, common_fc = forecast_common_restricted(model.predictor, tail, horizon)
+    idio_fc = forecast_idio(model.var_fit, tail.values - common_is, horizon)
     return combine_forecasts(common_fc, idio_fc, model.predictor, panel)
 
 

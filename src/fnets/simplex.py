@@ -1,25 +1,27 @@
-"""Dense simplex on a condensed tableau for small linear programs.
+"""Dense dual simplex for the l1-minimal point of a system of ranged rows.
 
-Solves  min c'x  subject to  A x <= b,  x >= 0.  The tableau [T, rhs; d, -z]
-keeps only the nonbasic columns, (m+1) x (n+1), with label arrays naming the
-basic variable of each row and the nonbasic variable of each column
-(structurals 0..n-1, slacks n..n+m-1). A pivot is a Jordan exchange, which
-swaps one row label with one column label.
+Solves  min |v|_1  subject to  lower <= A v <= upper,  v free  (A is k x d).
+Row j has a logical r_j = A_j v in [lower_j, upper_j] (lower_j = -inf for a
+one-sided row), and v_i costs |v_i|, with its breakpoint at 0. A nonbasic
+v_i sits at 0, a nonbasic logical at one of its bounds, and a basic v_i on
+one side of 0, at cost +1 or -1. The condensed tableau [T, x_B; z, .] is
+(k+1) x (d+1), with x_B = T x_N and the reduced costs z = c_B T; labels name
+the basic variable of each row and the nonbasic one of each column, and a
+pivot is a Jordan exchange, which swaps one row label with one column label.
 
-The all-slack basis needs no artificial variables: with the clipped costs
-max(c, 0) it is dual feasible, so the dual simplex starts there at once
-(leave the most negative rhs, enter by the ratio test). The dual simplex
-is the primal simplex on the dual tableau (the negated transpose, with rhs
-and costs swapped), so both phases share one loop. Only when some c < 0 are
-the true reduced costs rebuilt from the labels and the primal simplex run.
-Pricing is steepest; after a run of degenerate pivots it falls back to
-Bland's rule, which cannot cycle. Every returned vertex is checked for
-feasibility.
+The all-logical start at v = 0 has z = 0, so it is dual feasible with no
+phase one. The dual simplex leaves the most infeasible basic variable at
+the bound it violates, and its ratio test flips bounds: each logical it
+passes moves to its other bound while the leaving variable stays infeasible
+(Fourer, Math. Prog. 1985; Koberstein, PhD thesis, Paderborn 2005). After a
+run of degenerate pivots it falls back to Bland's rule without flips.
 
-A solve can also start from a given basis, whose tableau is rebuilt from
-the slack one by a single block exchange. Along a path of right-hand sides
-with c and A fixed, the previous optimal basis stays dual feasible, so the
-dual simplex resumes from it instead of from the slack basis.
+A warm state is the k basic labels: i for v_i > 0, d + i for v_i < 0, 2d + j
+for the logical of row j. Each nonbasic logical sits at the bound its
+reduced cost allows, so the labels fix the vertex; its tableau is rebuilt
+from the all-logical one by one block exchange. Along a path of widths an
+optimal basis stays dual feasible, so the dual simplex resumes from it.
+Every returned vertex passes a feasibility and a duality-gap certificate.
 """
 from __future__ import annotations
 
@@ -27,168 +29,197 @@ import numpy as np
 
 from .errors import SolverError
 
-_RC_TOL = 1e-9  # reduced-cost tolerance
+_RC_TOL = 1e-9  # reduced-cost and infeasibility tolerance
 _PIV_TOL = 1e-9  # smallest acceptable pivot element
 _STALL_LIMIT = 30  # degenerate pivots before switching to Bland's rule
-_FEAS_TOL = 1e-7  # feasibility certificate, relative to max(1, max|b|)
+_FEAS_TOL = 1e-7  # certificates, relative to the scale of the programme
 
 
-def _iterate(
-    tab: np.ndarray, rows: np.ndarray, cols: np.ndarray, max_iter: int, unbounded: str
-) -> None:
-    """Run primal simplex pivots on a condensed tableau in place until optimal.
-
-    ``rows``/``cols`` label the basic and nonbasic variables and are swapped
-    at each pivot. Raises ``SolverError(unbounded)`` when an improving column
-    has no positive entry, or on iteration exhaustion.
-    """
-    m = tab.shape[0] - 1
-    costs = tab[-1, :-1]  # views: pivots update the tableau in place
-    rhs = tab[:m, -1]
-    stall = 0
-    use_bland = False
-    last_obj = tab[-1, -1]
-    for _ in range(max_iter):
-        candidates = np.flatnonzero(costs < -_RC_TOL)
-        if candidates.size == 0:
-            return
-        # Bland enters the smallest label, steepest the most negative cost.
-        col = candidates[(cols[candidates] if use_bland else costs[candidates]).argmin()]
-        column = tab[:m, col]
-        eligible = np.flatnonzero(column > _PIV_TOL)
-        if eligible.size == 0:
-            raise SolverError(unbounded)
-        ratios = rhs[eligible] / column[eligible]
-        ties = eligible[ratios <= ratios.min() + _PIV_TOL]
-        # Bland tie-break: leave the variable with the smallest label.
-        row = ties[rows[ties].argmin()]
-        # Jordan exchange: row and column labels trade places.
-        pivot = tab[row, col]
-        pivot_row = tab[row] / pivot
-        pivot_row[col] = 1.0 / pivot
-        factors = tab[:, col].copy()
-        tab[:, col] = 0.0
-        tab -= factors[:, None] * pivot_row
-        tab[row] = pivot_row
-        rows[row], cols[col] = cols[col], rows[row]
-        # The corner stores minus the objective, so progress means it increases.
-        obj = tab[-1, -1]
-        if obj > last_obj + 1e-12:
-            stall = 0
-            use_bland = False
-        else:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                use_bland = True
-        last_obj = obj
-    raise SolverError("simplex iteration limit reached")
+def _pivot(tab: np.ndarray, p: int, q: int) -> None:
+    """Jordan exchange in place of basic row ``p`` with nonbasic column ``q``."""
+    pivot_row = tab[p] / -tab[p, q]
+    pivot_row[q] = 1.0 / tab[p, q]
+    factors = tab[:, q].copy()
+    tab[:, q] = 0.0
+    tab += factors[:, None] * pivot_row
+    tab[p] = pivot_row
 
 
-def _exchange(
-    tab: np.ndarray, rows: np.ndarray, cols: np.ndarray, at_rows: np.ndarray, at_cols: np.ndarray
-) -> None:
-    """Block Jordan exchange in place: the labels of the rows ``at_rows``
-    trade places with those of the columns ``at_cols``, pairwise.
-
-    It equals the k single pivots of :func:`_iterate` on the k x k block,
-    done by one linear solve and one matrix product. Raises ``LinAlgError``
-    when the block is singular or not square.
-    """
+def _exchange(tab: np.ndarray, at_rows: np.ndarray, at_cols: np.ndarray) -> None:
+    """Block Jordan exchange in place: the rows ``at_rows`` trade places with
+    the columns ``at_cols``, pairwise. It equals the single pivots of
+    :func:`_pivot` on the block, done by one linear solve and one product.
+    Raises ``LinAlgError`` when the block is singular or not square."""
     if at_rows.size != at_cols.size:
         raise np.linalg.LinAlgError("exchange block is not square")
     factors = tab[:, at_cols]
     pivot_rows = tab[at_rows]
-    pivot_rows[:, at_cols] = np.eye(at_cols.size)
-    pivot_rows = np.linalg.solve(factors[at_rows], pivot_rows)
+    pivot_rows[:, at_cols] = -np.eye(at_cols.size)
+    pivot_rows = -np.linalg.solve(factors[at_rows], pivot_rows)
     tab[:, at_cols] = 0.0
-    tab -= factors @ pivot_rows
+    tab += factors @ pivot_rows
     tab[at_rows] = pivot_rows
-    rows[at_rows], cols[at_cols] = cols[at_cols], rows[at_rows]
 
 
-def _slack_tableau(
-    dual: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fill ``dual`` with the dual tableau [-A', max(c, 0); b', 0] of the
-    slack basis; return the basic and the nonbasic labels."""
-    m, n = a.shape
-    dual[:n, :m] = -a.T
-    dual[:n, m] = np.maximum(c, 0.0)
-    dual[n, :m] = b
-    dual[n, m] = 0.0
-    return n + np.arange(m), np.arange(n)
-
-
-def _enter_basis(
-    dual: np.ndarray, rows: np.ndarray, cols: np.ndarray, basis: np.ndarray
-) -> bool:
-    """Move a slack-basis dual tableau to the basic labels ``basis``.
-
-    The basic structurals S enter in one block exchange, for the slacks of
-    the rows R that leave. Returns whether the result is usable: a square,
-    nonsingular block and dual feasible reduced costs.
+def _iterate(tab, rows, cols, lows, highs, costs, max_iter) -> np.ndarray | None:
+    """Dual simplex pivots in place from the basis ``rows``/``cols`` to an
+    optimal one; labels index ``lows``/``highs``/``costs``, and a nonbasic
+    v_i is labelled i. Returns each nonbasic column's side (+1 for a logical
+    at its lower bound, -1 at its upper, 0 for a v), or None when the start
+    is not dual feasible. Raises ``SolverError`` when the rows admit no
+    point, or on iteration exhaustion.
     """
-    n = cols.size
-    is_basic = np.zeros(n + rows.size, dtype=bool)
-    is_basic[basis] = True
-    try:
-        _exchange(dual, cols, rows, np.flatnonzero(is_basic[:n]), np.flatnonzero(~is_basic[n:]))
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.all(np.isfinite(dual))) and dual[:n, -1].min(initial=0.0) >= -_RC_TOL
+    k, d = rows.size, cols.size
+    free = cols < 2 * d
+    cost, lo_b, hi_b = costs[rows], lows[rows], highs[rows]
+    tab[k, :d] = cost @ tab[:k, :d]
+    z, x_b = tab[k, :d], tab[:k, d]
+    if not np.all(np.isfinite(z)) or np.abs(z[free]).max(initial=0.0) > 1.0 + _RC_TOL:
+        return None
+    # Each nonbasic logical sits at the bound its reduced cost allows.
+    step = np.where(free, 0.0, np.where(z > 0.0, 1.0, -1.0))
+    val = np.where(free, 0.0, np.where(step > 0, lows[cols], highs[cols]))
+    if np.any(np.isinf(val)):
+        return None
+    span = highs[cols] - lows[cols]
+    x_b[:] = tab[:k, :d] @ val
+    ratio = np.empty(d)
+    stall, use_bland = 0, False
+    for _ in range(max_iter):
+        infeas = np.maximum(lo_b - x_b, x_b - hi_b)
+        if use_bland:
+            late = np.flatnonzero(infeas > _RC_TOL)
+            p = late[rows[late].argmin()] if late.size else 0
+        else:
+            p = infeas.argmax()
+        delta = infeas[p]
+        if delta <= _RC_TOL:
+            return step
+        sgn = 1.0 if x_b[p] < lo_b[p] else -1.0
+        # Column j moves in the direction s_j that pushes x_p to its bound,
+        # at reduced cost rc_j per unit of x_j, so ratio_j per unit of x_p.
+        row = tab[p, :d]
+        size = np.abs(row)
+        s = np.sign(row) * sgn
+        rc = s * z + free
+        ratio.fill(np.inf)
+        np.divide(rc, size, out=ratio, where=(size > _PIV_TOL) & (free | (s == step)))
+        q = ratio.argmin()
+        # A leaving v may instead cross 0 and stay basic on its other side:
+        # a breakpoint at ratio 2 that no column passes.
+        limit = 2.0 if rows[p] < 2 * d else np.inf
+        if ratio[q] >= limit:
+            q = None
+        elif use_bland:
+            ties = np.flatnonzero(ratio <= ratio[q] + _PIV_TOL)
+            q = ties[cols[ties].argmin()]
+        elif size[q] * span[q] < delta:
+            # Pass breakpoints in ratio order while flipping them leaves x_p
+            # infeasible; the first one that would not, enters.
+            cand = np.flatnonzero(ratio < limit)
+            cand = cand[np.argsort(ratio[cand])]
+            stop = np.searchsorted(np.cumsum(size[cand] * span[cand]), delta)
+            q, flips = (cand[stop] if stop < cand.size else None), cand[:stop]
+            step[flips] = -step[flips]
+            moved = np.where(step[flips] > 0, lows[cols[flips]], highs[cols[flips]])
+            x_b += tab[:k, flips] @ (moved - val[flips])
+            val[flips] = moved
+        if q is None and limit == np.inf:
+            raise SolverError("infeasible constraint system")
+        if q is None or rc[q] > _RC_TOL:
+            stall, use_bland = 0, False
+        else:
+            stall += 1
+            use_bland = use_bland or stall >= _STALL_LIMIT
+        if q is None:
+            z -= 2.0 * cost[p] * row
+            rows[p] = (rows[p] + d) % (2 * d)
+            cost[p], lo_b[p], hi_b[p] = -cost[p], lows[rows[p]], highs[rows[p]]
+            continue
+        bound = lo_b[p] if sgn > 0 else hi_b[p]
+        leaving, entering = rows[p], cols[q] + d * (free[q] and s[q] < 0)
+        # Exchanged, x_B holds the values at x_p = bound, with x_q's change
+        # from its old value in row p; z loses x_p's cost and gains x_q's.
+        x_b[p] -= bound
+        _pivot(tab, p, q)
+        x_b[p] += val[q]
+        z[q] -= cost[p]
+        if costs[entering]:
+            z += costs[entering] * tab[p, :d]
+        rows[p], cost[p] = entering, costs[entering]
+        lo_b[p], hi_b[p] = lows[entering], highs[entering]
+        free[q] = leaving < 2 * d
+        cols[q] = leaving % d if free[q] else leaving
+        step[q], val[q] = (0.0, 0.0) if free[q] else (sgn, bound)
+        span[q] = highs[cols[q]] - lows[cols[q]]
+    raise SolverError("simplex iteration limit reached")
+
+
+def _certify(a: np.ndarray, lower: np.ndarray, upper: np.ndarray, v: np.ndarray, y: np.ndarray):
+    """Raise ``SolverError`` unless ``v`` satisfies the rows and the row duals
+    ``y`` prove it optimal: |a' y|_inf <= 1 and sum(lower y+ - upper y-)
+    equals |v|_1."""
+    finite = np.abs(np.concatenate([lower, upper]))
+    scale = _FEAS_TOL * max(1.0, float(np.max(finite[np.isfinite(finite)], initial=0.0)))
+    act = a @ v
+    if max(np.max(lower - act, initial=0.0), np.max(act - upper, initial=0.0)) > scale:
+        raise SolverError("simplex vertex failed feasibility certificate")
+    l1 = np.abs(v).sum()
+    gap = lower[y > 0] @ y[y > 0] + upper[y < 0] @ y[y < 0] - l1
+    if np.abs(a.T @ y).max(initial=0.0) > 1.0 + _FEAS_TOL or abs(gap) > scale * max(1.0, l1):
+        raise SolverError("simplex vertex failed duality certificate")
 
 
 def solve_lp(
-    c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, basis: np.ndarray | None = None
+    a: np.ndarray, lower: np.ndarray, upper: np.ndarray, basis: np.ndarray | None = None
 ) -> np.ndarray:
-    """Minimise ``c @ x`` over ``a_ub @ x <= b_ub``, ``x >= 0``.
+    """Minimise ``|v|_1`` over ``lower <= a @ v <= upper``, ``v`` free.
 
-    ``basis``, when given, holds m basic labels: the solve starts from that
-    basis and overwrites it with the optimal one. Along a path of right-hand
-    sides for fixed c and A an optimal basis stays dual feasible, so the
-    dual simplex resumes from it; a basis whose basis matrix is singular or
-    whose rebuilt reduced costs are negative falls back to the slack start.
-    Returns the optimal x after checking its feasibility. Raises
-    :class:`SolverError` when infeasible or unbounded, or when the returned
-    vertex fails the feasibility certificate.
+    ``basis``, when given, holds the k basic labels of the warm state (see
+    the module notes): the solve starts from it and overwrites it with the
+    optimal one. Labels that repeat, a singular block or a start that is
+    not dual feasible fall back to the all-logical start. Raises
+    :class:`SolverError` when infeasible, or when the returned vertex fails
+    its feasibility or duality-gap certificate.
     """
-    c = np.asarray(c, dtype=float)
-    a = np.asarray(a_ub, dtype=float)
-    b = np.asarray(b_ub, dtype=float)
-    m, n = a.shape
-    if c.shape != (n,) or b.shape != (m,) or (basis is not None and basis.shape != (m,)):
+    a = np.asarray(a, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    k, d = a.shape
+    if lower.shape != (k,) or upper.shape != (k,) or (basis is not None and basis.shape != (k,)):
         raise SolverError("inconsistent LP dimensions")
-    max_iter = 200 * (m + n) + 1000
-
-    # Dual simplex, run as the primal loop on the dual tableau: its rows are
-    # the primal nonbasic columns, its costs the primal right-hand side, its
-    # right-hand side the primal reduced costs, and its corner minus the
-    # primal corner.
-    dual = np.empty((n + 1, m + 1))
-    rows, cols = _slack_tableau(dual, c, a, b)
-    if basis is not None and not _enter_basis(dual, rows, cols, basis):
-        rows, cols = _slack_tableau(dual, c, a, b)
-    _iterate(dual, cols, rows, max_iter, "infeasible constraint system")
-    basic = dual[n, :m]  # values of the basic variables ``rows``
-
-    if np.any(c < 0):
-        # Primal phase: reduced costs of the true c from the labels.
-        tab = -dual.T.copy()
-        tab[:m, n] = basic
-        full_c = np.concatenate([c, np.zeros(m)])
-        tab[m] = np.append(full_c[cols], 0.0) - full_c[rows] @ tab[:m]
-        _iterate(tab, rows, cols, max_iter, "objective unbounded below")
-        basic = tab[:m, n]
-
-    x = np.zeros(n + m)
-    x[rows] = basic
-    x = x[:n]
-    scale = _FEAS_TOL * max(1.0, float(np.max(np.abs(b), initial=0.0)))
-    if np.max(a @ x - b, initial=0.0) > scale or -np.min(x, initial=0.0) > scale:
-        raise SolverError("simplex vertex failed feasibility certificate")
+    lows = np.concatenate([np.zeros(d), np.full(d, -np.inf), lower])
+    highs = np.concatenate([np.full(d, np.inf), np.zeros(d), upper])
+    costs = np.concatenate([np.ones(d), -np.ones(d), np.zeros(k)])
+    for labels in ([] if basis is None else [basis]) + [2 * d + np.arange(k)]:
+        if np.any((labels < 0) | (labels >= 2 * d + k)):
+            continue
+        tab = np.zeros((k + 1, d + 1))
+        tab[:k, :d] = a
+        rows, cols = 2 * d + np.arange(k), np.arange(d)
+        # The basic v_i enter for the logicals of the rows left out.
+        v_labels = labels[labels < 2 * d]
+        leave = np.flatnonzero(np.bincount(labels, minlength=2 * d + k)[2 * d :] == 0)
+        try:
+            if v_labels.size:
+                _exchange(tab, leave, v_labels % d)
+            rows[leave], cols[v_labels % d] = v_labels, 2 * d + leave
+            step = _iterate(tab, rows, cols, lows, highs, costs, 200 * (k + d) + 1000)
+        except np.linalg.LinAlgError:
+            continue
+        if step is not None:
+            break
+    v = np.zeros(d)
+    v[rows[rows < 2 * d] % d] = tab[:k, d][rows < 2 * d]
+    # Row duals: a nonbasic logical's reduced cost, clipped to the sign its
+    # bound allows, and 0 for a basic one.
+    logical = cols >= 2 * d
+    y = np.zeros(k)
+    y[cols[logical] - 2 * d] = (np.maximum(tab[k, :d] * step, 0.0) * step)[logical]
+    _certify(a, lower, upper, v, y)
     if basis is not None:
         basis[:] = rows
-    return x
+    return v
 
 
 def solve_l1_box(
@@ -200,40 +231,30 @@ def solve_l1_box(
     """Minimise |v|_1 subject to |a_mat @ v - rhs| <= widths elementwise.
 
     ``rhs`` is one target (k,) or one per column (k, p), and ``widths``
-    broadcasts to its shape; each column is one LP, and the result has the
-    shape of ``rhs`` with d rows. Split-variable reformulation v = v+ - v-,
-    both parts non-negative; the split matrix [A, -A; -A, A] is built once
-    and shared by every column. ``bases`` maps a column to its basic labels
-    (see :func:`solve_lp`): a column found there starts from its last
-    optimal basis, and every column leaves its new one there, so a path
-    over widths re-solves each column warm. Errors name the failing column.
+    broadcasts to its shape; each column is one LP with ranged rows
+    rhs - widths <= a_mat @ v <= rhs + widths, and the result has the shape
+    of ``rhs`` with d rows. ``bases`` maps a column to its warm state (see
+    :func:`solve_lp`): a column found there starts from its last optimal
+    basis, and every column leaves its new one there, so a path over widths
+    re-solves each column warm. Errors name the failing column.
     """
     a_mat = np.asarray(a_mat, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     k, d = a_mat.shape
     targets = rhs.reshape(k, -1)
     bounds = np.broadcast_to(np.asarray(widths, dtype=float), rhs.shape).reshape(k, -1)
-    a_ub = np.block([[a_mat, -a_mat], [-a_mat, a_mat]])
-    c = np.ones(2 * d)
+    lower, upper = targets - bounds, targets + bounds
     out = np.empty((d, targets.shape[1]))
     for j in range(targets.shape[1]):
-        b_ub = np.concatenate([targets[:, j] + bounds[:, j], bounds[:, j] - targets[:, j]])
-        basis = None
-        if bases is not None:
-            basis = bases.setdefault(j, 2 * d + np.arange(2 * k))
+        basis = None if bases is None else bases.setdefault(j, 2 * d + np.arange(k))
         try:
-            x = solve_lp(c, a_ub, b_ub, basis)
+            out[:, j] = solve_lp(a_mat, lower[:, j], upper[:, j], basis)
         except SolverError as err:
             raise SolverError(f"column {j + 1}: {err}") from err
-        out[:, j] = x[:d] - x[d:]
     return out.reshape((d,) + rhs.shape[1:])
 
 
 def solve_l1_general(f_mat: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Minimise |v|_1 subject to f_mat @ v <= h (v unrestricted in sign)."""
-    f_mat = np.asarray(f_mat, dtype=float)
     h = np.asarray(h, dtype=float)
-    d = f_mat.shape[1]
-    a_ub = np.hstack([f_mat, -f_mat])
-    x = solve_lp(np.ones(2 * d), a_ub, h)
-    return x[:d] - x[d:]
+    return solve_lp(f_mat, np.full(h.shape, -np.inf), h)

@@ -10,6 +10,7 @@ from fnets import model as model_mod
 from fnets import tuning
 from fnets.errors import DataError, DimensionError, UsageError
 from fnets.factor_number import select_factor_number_ic
+from fnets.panel import TimeSeriesPanel
 from fnets.simulate import SimSpec, metrics, sim_restricted, sim_unrestricted, sim_var
 from fnets.spectral import factor_adjust
 from fnets.var import YuleWalkerSystem, build_yule_walker
@@ -192,10 +193,15 @@ class TestDocument:
             ("var.Gamma_hat", lambda doc: doc["var"]["Gamma_hat"].pop()),
             ("predictor.basis", lambda doc: doc["predictor"]["basis"].pop()),
             ("lrpc.Delta", lambda doc: doc["lrpc"].update(Delta=np.eye(5).tolist())),
+            (
+                "predictor.cross",
+                lambda doc: doc["predictor"].update(cross=doc["predictor"]["cross"][:1]),
+            ),
+            ("predictor.inv_vals", lambda doc: doc["predictor"]["inv_vals"].append(1.0)),
         ),
         ids=(
             "no-predictor", "no-beta", "short-mean_x", "order-mismatch",
-            "short-Gamma_hat", "short-basis", "small-Delta",
+            "short-Gamma_hat", "short-basis", "small-Delta", "one-lag-cross", "long-inv_vals",
         ),
     )
     def test_malformed_document_names_the_field(self, small_model, field, breaks):
@@ -216,6 +222,26 @@ class TestDocument:
 
 
 class TestPredict:
+    def test_predict_reads_only_the_last_order_points(self, small_model, monkeypatch):
+        # Overwriting every point before the last `order` leaves the forecast
+        # unchanged, and both component forecasts are handed the tail only.
+        panel = small_model.panel
+        d = small_model.var_fit.order
+        head = np.random.default_rng(5).standard_normal((panel.p, panel.n - d))
+        moved = TimeSeriesPanel(np.hstack([head, panel.values[:, -d:]]), np.zeros(panel.p))
+        widths = []
+        inner = model_mod.forecast_idio
+
+        def spy(fit, xi, horizon):
+            widths.append(xi.shape[1])
+            return inner(fit, xi, horizon)
+
+        monkeypatch.setattr(model_mod, "forecast_idio", spy)
+        base = model_mod.predict(small_model, TimeSeriesPanel(panel.values, np.zeros(panel.p)), 3)
+        fc = model_mod.predict(small_model, moved, 3)
+        assert np.array_equal(fc.forecast, base.forecast)
+        assert widths == [max(d, 2)] * 2
+
     def test_horizon_guards(self, small_model):
         with pytest.raises(DimensionError):
             model_mod.predict_model(small_model, 0)

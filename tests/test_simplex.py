@@ -13,140 +13,165 @@ from fnets.var import build_yule_walker, dantzig_lp, innovation_covariance
 from oracles import dantzig_column_oracle, min_l1_over_polytope
 
 
-class TestSolveLp:
-    def test_textbook_instance(self):
-        # min -3x - 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6)
-        c = np.array([-3.0, -5.0])
-        a = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]])
-        b = np.array([4.0, 12.0, 18.0])
-        x = solve_lp(c, a, b)
-        assert np.allclose(x, [2.0, 6.0], atol=1e-9)
+def _one_sided(a, lower, upper):
+    """The rows lower <= a v <= upper as f v <= h, for the enumeration oracle."""
+    lo, up = np.isfinite(lower), np.isfinite(upper)
+    return np.vstack([a[up], -a[lo]]), np.concatenate([upper[up], -lower[lo]])
 
+
+class TestSolveLp:
     def test_negative_rhs_needs_phase_one(self):
-        # min x + y s.t. -x <= -2, -y <= -3 -> (2, 3)
-        c = np.array([1.0, 1.0])
-        a = np.array([[-1.0, 0.0], [0.0, -1.0]])
-        b = np.array([-2.0, -3.0])
-        assert np.allclose(solve_lp(c, a, b), [2.0, 3.0], atol=1e-9)
+        # v1 >= 2 and v2 >= 3: both rows start infeasible at v = 0, and the
+        # dual simplex leaves the all-logical start with no phase one.
+        v = solve_lp(np.eye(2), np.array([2.0, 3.0]), np.full(2, np.inf))
+        assert np.allclose(v, [2.0, 3.0], atol=1e-9)
 
     def test_infeasible_detected(self):
-        # x <= 1 and -x <= -2 cannot both hold.
+        # v <= 1 and v >= 2 cannot both hold, as ranged or as one-sided rows.
         with pytest.raises(SolverError):
-            solve_lp(np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]))
-
-    def test_unbounded_detected(self):
+            solve_lp(np.ones((2, 1)), np.array([0.0, 2.0]), np.array([1.0, 3.0]))
         with pytest.raises(SolverError):
-            solve_lp(np.array([-1.0]), np.array([[-1.0]]), np.array([0.0]))
+            solve_lp(np.array([[1.0], [-1.0]]), np.full(2, -np.inf), np.array([1.0, -2.0]))
 
     def test_degenerate_instance_terminates(self):
-        # Many redundant constraints through the origin.
-        c = np.array([-1.0, -1.0])
+        # Redundant rows, and two rows through the origin active at the optimum.
         a = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        b = np.array([1.0, 2.0, 1.0, 1.0, 1.0])
-        x = solve_lp(c, a, b)
-        assert x.sum() == pytest.approx(1.0, abs=1e-9)
+        lower = np.array([1.0, 2.0, 1.0, 0.0, 0.0])
+        upper = np.array([3.0, 6.0, np.inf, 1.0, 1.0])
+        v = solve_lp(a, lower, upper)
+        assert np.abs(v).sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(v >= -1e-12)
 
     def test_random_against_enumeration(self, rng):
-        for _ in range(60):
-            n = int(rng.integers(1, 4))
-            m = int(rng.integers(1, 5))
-            a = rng.standard_normal((m, n))
-            b = rng.standard_normal(m) + 1.0
-            c = rng.standard_normal(n) ** 2 + 0.1  # positive costs keep it bounded
-            # Enumerate over x >= 0 explicitly to get the oracle optimum.
-            f_mat = np.vstack([a, -np.eye(n)])
-            h = np.concatenate([b, np.zeros(n)])
-            feasible = np.all(b >= -1e-12)
-            try:
-                x = solve_lp(c, a, b)
-            except SolverError:
-                assert not feasible
-                continue
-            val, _ = _lp_oracle(c, f_mat, h, n)
-            assert c @ x == pytest.approx(val, abs=1e-7)
-
-    def test_mixed_signs_against_enumeration(self, rng):
-        # Mixed-sign c needs the primal phase after the dual one; the x <= 3
-        # rows keep every instance bounded, so each is optimal or infeasible.
         outcomes = {"optimal": 0, "infeasible": 0}
-        for _ in range(300):
-            n = int(rng.integers(1, 4))
-            m = int(rng.integers(1, 5))
-            a = np.vstack([rng.standard_normal((m, n)), np.eye(n)])
-            b = np.concatenate([rng.standard_normal(m), np.full(n, 3.0)])
-            c = rng.standard_normal(n)
-            val, _ = _lp_oracle(c, np.vstack([a, -np.eye(n)]), np.append(b, np.zeros(n)), n)
+        for _ in range(200):
+            d = int(rng.integers(1, 4))
+            k = int(rng.integers(1, 6))
+            a = rng.standard_normal((k, d))
+            centre = 2.0 * rng.standard_normal(k)
+            lower = centre - rng.uniform(0.0, 1.0, k)
+            upper = centre + rng.uniform(0.0, 1.0, k)
+            lower[rng.random(k) < 0.3] = -np.inf  # some one-sided rows
+            val, _ = min_l1_over_polytope(*_one_sided(a, lower, upper))
             if not np.isfinite(val):
                 with pytest.raises(SolverError):
-                    solve_lp(c, a, b)
+                    solve_lp(a, lower, upper)
                 outcomes["infeasible"] += 1
                 continue
-            x = solve_lp(c, a, b)
-            assert c @ x == pytest.approx(val, abs=1e-7)
-            assert np.all(a @ x <= b + 1e-8) and np.all(x >= -1e-8)
+            v = solve_lp(a, lower, upper)
+            assert np.abs(v).sum() == pytest.approx(val, abs=1e-7)
+            assert np.all(a @ v >= lower - 1e-8) and np.all(a @ v <= upper + 1e-8)
             outcomes["optimal"] += 1
-        assert min(outcomes.values()) > 50
+        assert min(outcomes.values()) > 30
 
-    def test_cycling_instance_terminates(self):
-        # Chvatal's instance, on which steepest pricing with smallest-label
-        # ties cycles through degenerate vertices; the Bland fallback ends it.
-        c = np.array([-10.0, 57.0, 9.0, 24.0])
-        a = np.array([[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]])
-        b = np.array([0.0, 0.0, 1.0])
-        assert np.allclose(solve_lp(c, a, b), [1.0, 0.0, 1.0, 0.0], atol=1e-9)
+    def test_cycling_instance_terminates(self, rng, monkeypatch):
+        # Integer rows along a few shared directions, some of zero width, make
+        # many pivots degenerate. At a stall limit of 1 each degenerate pivot
+        # reaches the switch to Bland's rule, which the limit records, and
+        # every instance still ends at the enumerated optimum.
+        reached = []
 
+        class Limit(int):
+            def __le__(self, stall):  # evaluates ``stall >= _STALL_LIMIT``
+                reached.append(stall >= int(self))
+                return reached[-1]
 
-def _box_programmes(gram, targets, widths_grid):
-    """The split-variable box LPs (c, A, b) that ``solve_l1_box`` builds."""
-    a_ub = np.block([[gram, -gram], [-gram, gram]])
-    c = np.ones(a_ub.shape[1])
-    for width in widths_grid:
-        for target in targets.T:
-            yield c, a_ub, np.concatenate([target + width, width - target])
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", Limit(1))
+        for _ in range(300):
+            d, k = int(rng.integers(2, 4)), int(rng.integers(3, 7))
+            directions = rng.integers(-1, 2, (int(rng.integers(1, 3)), d))
+            a = (directions[rng.integers(0, directions.shape[0], k)] * rng.integers(1, 3, (k, 1)))
+            a = (a + (rng.random((k, d)) < 0.2) * rng.integers(-1, 2, (k, d))).astype(float)
+            centre = rng.integers(-1, 2, k).astype(float)
+            lower, upper = centre - rng.integers(0, 2, k), centre + rng.integers(0, 2, k)
+            val, _ = min_l1_over_polytope(*_one_sided(a, lower, upper))
+            if not np.isfinite(val):
+                with pytest.raises(SolverError):
+                    solve_lp(a, lower, upper)
+                continue
+            assert np.abs(solve_lp(a, lower, upper)).sum() == pytest.approx(val, abs=1e-7)
+        assert sum(reached) >= 20
 
 
 class TestStrongDuality:
-    """Primal and dual optima of the pipeline's programmes sum to zero.
+    """Every vertex comes with row duals y that prove it optimal.
 
-    For min c@x s.t. A x <= b, x >= 0 the dual is min b@y s.t. -A'y <= c,
-    y >= 0, so c@x + b@y = 0 at the optima. The primal solve runs the dual
-    phase; the dual solve, whose costs b have mixed signs, the primal one.
+    For min |v|_1 s.t. lower <= A v <= upper the dual is max sum(lower y+ -
+    upper y-) s.t. |A'y|_inf <= 1. The checks here are tighter than the
+    solver's own certificate and add complementary slackness: y_j > 0 only
+    on a row at its lower bound, y_j < 0 only on a row at its upper.
     """
 
     @staticmethod
-    def _check(programmes):
-        infeasible = 0
-        for c, a, b in programmes:
-            try:
-                x = solve_lp(c, a, b)
-            except SolverError:
-                # An infeasible primal has an unbounded dual.
-                with pytest.raises(SolverError):
-                    solve_lp(b, -a.T, c)
-                infeasible += 1
-                continue
-            y = solve_lp(b, -a.T, c)
-            assert abs(c @ x + b @ y) <= 1e-8 * max(1.0, abs(c @ x))
-            assert np.all(a @ x <= b + 1e-8) and np.all(x >= 0.0)
-            assert np.all(-a.T @ y <= c + 1e-8) and np.all(y >= 0.0)
-        return infeasible
+    def _checked(monkeypatch):
+        seen = []
+        inner = simplex._certify
 
-    def test_clime_and_ds_programmes_p20(self):
-        sim = sim_var(SimSpec(n=300, p=20, seed=3))
-        acv = sample_acv(make_panel(sim.data, center=True), 2)
-        sys1 = build_yule_walker(acv, 1)
-        gamma = innovation_covariance(sys1, fit_var(sys1, "lasso", lambda_grid(sys1, 10, "ds")[5]).beta)
-        assert self._check(_box_programmes(gamma, np.eye(20), eta_grid(gamma, 10))) == 0
-        sys2 = build_yule_walker(acv, 2)
-        ds = _box_programmes(sys2.gram, sys2.cross, lambda_grid(sys2, 10, "ds"))
-        assert self._check(ds) == 0
+        def check(a, lower, upper, v, y):
+            inner(a, lower, upper, v, y)
+            act = a @ v
+            tol = 1e-9 * max(1.0, np.abs(np.concatenate([lower, upper])).max())
+            assert np.all(act >= lower - tol) and np.all(act <= upper + tol)
+            assert np.abs(a.T @ y).max(initial=0.0) <= 1.0 + 1e-9
+            dual = lower[y > 0] @ y[y > 0] + upper[y < 0] @ y[y < 0]
+            assert dual == pytest.approx(np.abs(v).sum(), rel=1e-9, abs=1e-12)
+            assert np.all(act[y > 0] <= lower[y > 0] + tol)
+            assert np.all(act[y < 0] >= upper[y < 0] - tol)
+            seen.append(v.size)
+
+        monkeypatch.setattr(simplex, "_certify", check)
+        return seen
+
+    def test_clime_and_ds_programmes_p20(self, monkeypatch):
+        # Every grid point of the CLIME, ACLIME step-two and DS programmes,
+        # solved cold and along warm-started paths.
+        gamma, sys2 = _p20_programmes()
+        step_one = aclime_step_one(gamma, 150)
+        seen = self._checked(monkeypatch)
+        for warm in (False, True):
+            bases = [{} if warm else None for _ in range(3)]
+            for eta in eta_grid(gamma, 10):
+                clime(gamma, float(eta), bases[0])
+                aclime(gamma, float(eta), 150, step_one, bases[1])
+            for lam in lambda_grid(sys2, 10, "ds"):
+                dantzig_lp(sys2, float(lam), bases[2])
+        # DS at order 2 has 40 unknowns per column.
+        assert seen == ([20] * 400 + [40] * 200) * 2
+
+    def test_certificate_rejects_a_suboptimal_vertex(self):
+        # v = (2, 2) satisfies v1 + v2 >= 2 but is not optimal: no dual closes
+        # the gap, while the optimum (1, 1) closes it with y = 1.
+        a, lower, upper = np.ones((1, 2)), np.array([2.0]), np.array([np.inf])
+        simplex._certify(a, lower, upper, np.array([1.0, 1.0]), np.array([1.0]))
+        with pytest.raises(SolverError, match="duality"):
+            simplex._certify(a, lower, upper, np.array([2.0, 2.0]), np.array([1.0]))
+        with pytest.raises(SolverError, match="feasibility"):
+            simplex._certify(a, lower, upper, np.array([0.5, 0.5]), np.array([1.0]))
 
     def test_singular_covariance_infeasible_both_ways(self, rng):
-        # A rank-10 covariance at p=20: e_j is out of its range, so the
-        # narrow constraint widths admit no solution.
+        # A rank-10 covariance at p=20: e_j is out of its range, so narrow
+        # widths admit no solution. By Farkas' lemma the rows |gamma v - e_j|
+        # <= eta are infeasible exactly when some y with gamma y = 0 has
+        # y_j - eta |y|_1 > 0, i.e. when eta * m_j < 1 for m_j = min |y|_1
+        # over gamma y = 0, y_j = 1: itself an l1 programme.
         draws = rng.standard_normal((10, 20))
         gamma = draws.T @ draws / 10
-        assert self._check(_box_programmes(gamma, np.eye(20), eta_grid(gamma, 10))) > 0
+        span = np.linalg.eigh(gamma)[1][:, 10:]
+        infeasible = 0
+        for j in range(20):
+            rows = np.vstack([span.T, np.eye(20)[j]])
+            fix = np.append(np.zeros(10), 1.0)
+            m_j = np.abs(solve_lp(rows, fix, fix)).sum()
+            for eta in eta_grid(gamma, 10):
+                if abs(eta * m_j - 1.0) < 1e-6:
+                    continue
+                if eta * m_j < 1.0:
+                    with pytest.raises(SolverError):
+                        solve_l1_box(gamma, np.eye(20)[:, j], eta)
+                    infeasible += 1
+                else:
+                    solve_l1_box(gamma, np.eye(20)[:, j], eta)
+        assert infeasible > 0
 
 
 def _p20_programmes():
@@ -158,14 +183,16 @@ def _p20_programmes():
     return gamma, build_yule_walker(acv, 2)
 
 
-def _reduced_costs(c, a, basis):
-    """Reduced costs of the nonbasic variables of ``basis`` for [A, I]."""
-    m, n = a.shape
-    full_a = np.hstack([a, np.eye(m)])
-    full_c = np.concatenate([c, np.zeros(m)])
-    nonbasic = np.setdiff1d(np.arange(n + m), basis)
-    tab = np.linalg.solve(full_a[:, basis], full_a[:, nonbasic])
-    return full_c[nonbasic] - full_c[basis] @ tab
+def _state_duals(a, labels):
+    """Row duals of a warm state: 0 on the basic logicals, and on the other
+    rows the solution of (A'y)_i = +1 or -1 for each basic v_i above or
+    below 0."""
+    d = a.shape[1]
+    v_labels = labels[labels < 2 * d]
+    rows = np.setdiff1d(np.arange(a.shape[0]), labels - 2 * d)
+    y = np.zeros(a.shape[0])
+    y[rows] = np.linalg.solve(a[np.ix_(rows, v_labels % d)].T, np.where(v_labels < d, 1.0, -1.0))
+    return y
 
 
 class TestWarmStartedPaths:
@@ -252,62 +279,40 @@ class TestWarmStartedPaths:
                 assert len(calls) == 20
 
     def test_foreign_dual_infeasible_basis_falls_back(self, rng):
-        # An optimal basis of one box programme, handed to another of the
-        # same shape whose reduced costs at that basis are negative.
+        # The optimal state of one box programme, handed to another of the
+        # same shape at which its row duals break |A'y|_inf <= 1.
         d = 6
-        c = np.ones(2 * d)
         found = 0
-        for _ in range(50):
+        for _ in range(150):
             grams = []
             for _ in range(2):
                 draws = rng.standard_normal((d, d))
                 grams.append(draws @ draws.T + 0.3 * np.eye(d))
-            a1, a2 = (np.block([[g, -g], [-g, g]]) for g in grams)
             target = rng.standard_normal(d)
-            b = np.concatenate([target + 0.1, 0.1 - target])
-            basis = 2 * d + np.arange(2 * d)
-            solve_lp(c, a1, b, basis)
+            lower, upper = target - 0.1, target + 0.1
+            state = 2 * d + np.arange(d)
+            solve_lp(grams[0], lower, upper, state)
             try:
-                costs = _reduced_costs(c, a2, basis)
+                breach = np.abs(grams[1].T @ _state_duals(grams[1], state)).max() - 1.0
             except np.linalg.LinAlgError:
                 continue
-            if costs.min() >= -1e-6:
+            if breach <= 1e-6:
                 continue
             found += 1
-            got = solve_lp(c, a2, b, basis)
-            cold = solve_lp(c, a2, b)
-            assert c @ got == pytest.approx(c @ cold, rel=1e-9)
-            assert np.all(a2 @ got <= b + 1e-8) and np.all(got >= 0.0)
-            # The basis now names an optimal vertex of the second programme.
-            assert _reduced_costs(c, a2, basis).min() >= -1e-9
+            got = solve_lp(grams[1], lower, upper, state)
+            cold = solve_lp(grams[1], lower, upper)
+            assert np.abs(got).sum() == pytest.approx(np.abs(cold).sum(), rel=1e-9)
+            assert np.all(np.abs(grams[1] @ got - target) <= 0.1 + 1e-8)
+            # The state now names an optimal vertex of the second programme.
+            assert np.abs(grams[1].T @ _state_duals(grams[1], state)).max() <= 1.0 + 1e-9
         assert found >= 10
 
     def test_invalid_basis_falls_back(self):
-        # A repeated label leaves no square basis matrix to rebuild from.
-        c = np.array([1.0, 1.0])
-        a = np.array([[-1.0, 0.0], [0.0, -1.0]])
-        b = np.array([-2.0, -3.0])
+        # A repeated label leaves no square block to rebuild from.
         basis = np.array([0, 0])
-        assert np.allclose(solve_lp(c, a, b, basis), [2.0, 3.0], atol=1e-9)
+        v = solve_lp(np.eye(2), np.array([2.0, 3.0]), np.full(2, np.inf), basis)
+        assert np.allclose(v, [2.0, 3.0], atol=1e-9)
         assert sorted(basis.tolist()) == [0, 1]
-
-
-def _lp_oracle(c, f_mat, h, n):
-    """Enumerate active sets for min c@x over f_mat x <= h (last n rows are x >= 0)."""
-    import itertools
-
-    rows = f_mat.shape[0]
-    best, best_x = np.inf, None
-    for active in itertools.combinations(range(rows), n):
-        mat = f_mat[list(active)]
-        if abs(np.linalg.det(mat)) < 1e-10:
-            continue
-        x = np.linalg.solve(mat, h[list(active)])
-        if np.all(f_mat @ x <= h + 1e-9):
-            val = float(c @ x)
-            if val < best:
-                best, best_x = val, x
-    return best, best_x
 
 
 class TestL1Solvers:
