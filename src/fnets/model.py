@@ -328,13 +328,12 @@ def from_document(doc: dict) -> FittedModel:
         delta = None if lrpc is None else np.asarray(lrpc["Delta"], dtype=float)
         p = var_fit.beta.shape[-1] if var_fit.beta.ndim == 2 else 0
         r = predictor.basis.shape[-1] if predictor.basis.ndim == 2 else 0
-        bandwidth = int(doc["bandwidth"])
         for name, shape, want in (
             ("var.beta", var_fit.beta.shape, (p * var_fit.order, p)),
             ("var.Gamma_hat", var_fit.innovation_cov.shape, (p, p)),
             ("predictor.basis", predictor.basis.shape, (p, r)),
             ("predictor.inv_vals", predictor.inv_vals.shape, (r,)),
-            ("predictor.cross", predictor.cross.shape, (bandwidth, p, r)),
+            ("predictor.cross", predictor.cross.shape, (int(doc["bandwidth"]), p, r)),
             ("mean_x", mean_x.shape, (p,)),
             ("lrpc.Delta", (p, p) if delta is None else delta.shape, (p, p)),
         ):
@@ -356,7 +355,7 @@ def from_document(doc: dict) -> FittedModel:
             model_kind=doc["model_kind"],
             q_or_r=int(doc["q_or_r"]),
             r_forecast=int(doc["r_forecast"]),
-            bandwidth=bandwidth,
+            bandwidth=int(doc["bandwidth"]),
             var_fit=var_fit,
             predictor=predictor,
             precision=precision,

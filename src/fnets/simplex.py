@@ -70,44 +70,47 @@ def _iterate(tab, rows, cols, lows, highs, costs, max_iter) -> np.ndarray | None
     point, or on iteration exhaustion.
     """
     k, d = rows.size, cols.size
-    free = cols < 2 * d
-    cost, lo_b, hi_b = costs[rows], lows[rows], highs[rows]
-    tab[k, :d] = cost @ tab[:k, :d]
+    free = (cols < 2 * d).astype(float)  # 1.0 for a v column, 0.0 for a logical
+    lo_b, hi_b = lows[rows], highs[rows]
+    tab[k, :d] = costs[rows] @ tab[:k, :d]
     z, x_b = tab[k, :d], tab[:k, d]
-    if not np.all(np.isfinite(z)) or np.abs(z[free]).max(initial=0.0) > 1.0 + _RC_TOL:
+    if not np.abs(z * free).max(initial=0.0) <= 1.0 + _RC_TOL:  # also catches nan
         return None
     # Each nonbasic logical sits at the bound its reduced cost allows.
     step = np.where(free, 0.0, np.where(z > 0.0, 1.0, -1.0))
-    val = np.where(free, 0.0, np.where(step > 0, lows[cols], highs[cols]))
-    if np.any(np.isinf(val)):
+    val = np.where(step < 0, highs[cols], lows[cols])
+    if np.isinf(val).any():
         return None
     span = highs[cols] - lows[cols]
     x_b[:] = tab[:k, :d] @ val
+    labels = rows.tolist()  # scalar reads are cheaper from a list; written back on return
     ratio = np.empty(d)
     stall, use_bland = 0, False
     for _ in range(max_iter):
         infeas = np.maximum(lo_b - x_b, x_b - hi_b)
         if use_bland:
             late = np.flatnonzero(infeas > _RC_TOL)
-            p = late[rows[late].argmin()] if late.size else 0
+            p = late[np.array(labels)[late].argmin()] if late.size else 0
         else:
             p = infeas.argmax()
         delta = infeas[p]
         if delta <= _RC_TOL:
+            rows[:] = labels
             return step
         sgn = 1.0 if x_b[p] < lo_b[p] else -1.0
-        # Column j moves in the direction s_j that pushes x_p to its bound,
-        # at reduced cost rc_j per unit of x_j, so ratio_j per unit of x_p.
-        row = tab[p, :d]
-        size = np.abs(row)
-        s = np.sign(row) * sgn
-        rc = s * z + free
+        # Column j changes x_p toward its bound at rate t_j; moving that way
+        # costs rc_j per unit of x_j, so ratio_j = rc_j / |t_j| per unit of
+        # x_p, where rc_j = sign(t_j) z_j + 1 for a v and sign(t_j) z_j for a
+        # logical, which may only move off its bound.
+        t = tab[p, :d] * sgn
+        size = np.abs(t)
         ratio.fill(np.inf)
-        np.divide(rc, size, out=ratio, where=(size > _PIV_TOL) & (free | (s == step)))
+        ok = np.where(free, size, t * step) > _PIV_TOL
+        np.divide(z + np.copysign(free, t), t, out=ratio, where=ok)
         q = ratio.argmin()
         # A leaving v may instead cross 0 and stay basic on its other side:
         # a breakpoint at ratio 2 that no column passes.
-        limit = 2.0 if rows[p] < 2 * d else np.inf
+        limit = 2.0 if labels[p] < 2 * d else np.inf
         if ratio[q] >= limit:
             q = None
         elif use_bland:
@@ -126,32 +129,31 @@ def _iterate(tab, rows, cols, lows, highs, costs, max_iter) -> np.ndarray | None
             val[flips] = moved
         if q is None and limit == np.inf:
             raise SolverError("infeasible constraint system")
-        if q is None or rc[q] > _RC_TOL:
+        if q is None or ratio[q] * size[q] > _RC_TOL:
             stall, use_bland = 0, False
         else:
             stall += 1
             use_bland = use_bland or stall >= _STALL_LIMIT
+        leaving = labels[p]
         if q is None:
-            z -= 2.0 * cost[p] * row
-            rows[p] = (rows[p] + d) % (2 * d)
-            cost[p], lo_b[p], hi_b[p] = -cost[p], lows[rows[p]], highs[rows[p]]
-            continue
-        bound = lo_b[p] if sgn > 0 else hi_b[p]
-        leaving, entering = rows[p], cols[q] + d * (free[q] and s[q] < 0)
-        # Exchanged, x_B holds the values at x_p = bound, with x_q's change
-        # from its old value in row p; z loses x_p's cost and gains x_q's.
-        x_b[p] -= bound
-        _pivot(tab, p, q)
-        x_b[p] += val[q]
-        z[q] -= cost[p]
-        if costs[entering]:
-            z += costs[entering] * tab[p, :d]
-        rows[p], cost[p] = entering, costs[entering]
+            z -= 2.0 * costs[leaving] * tab[p, :d]
+            entering = (leaving + d) % (2 * d)
+        else:
+            bound = lo_b[p] if sgn > 0 else hi_b[p]
+            entering = int(cols[q]) + (d if free[q] and t[q] < 0 else 0)
+            # Exchanged, x_B holds the values at x_p = bound, with x_q's change
+            # from its old value in row p; z loses x_p's cost and gains x_q's.
+            x_b[p] -= bound
+            _pivot(tab, p, q)
+            x_b[p] += val[q]
+            z[q] -= costs[leaving]
+            if costs[entering]:
+                z += costs[entering] * tab[p, :d]
+            free[q], step[q], val[q] = (1.0, 0.0, 0.0) if leaving < 2 * d else (0.0, sgn, bound)
+            cols[q] = leaving % d if free[q] else leaving
+            span[q] = highs[cols[q]] - lows[cols[q]]
+        labels[p] = entering
         lo_b[p], hi_b[p] = lows[entering], highs[entering]
-        free[q] = leaving < 2 * d
-        cols[q] = leaving % d if free[q] else leaving
-        step[q], val[q] = (0.0, 0.0) if free[q] else (sgn, bound)
-        span[q] = highs[cols[q]] - lows[cols[q]]
     raise SolverError("simplex iteration limit reached")
 
 
@@ -159,13 +161,14 @@ def _certify(a: np.ndarray, lower: np.ndarray, upper: np.ndarray, v: np.ndarray,
     """Raise ``SolverError`` unless ``v`` satisfies the rows and the row duals
     ``y`` prove it optimal: |a' y|_inf <= 1 and sum(lower y+ - upper y-)
     equals |v|_1."""
-    finite = np.abs(np.concatenate([lower, upper]))
-    scale = _FEAS_TOL * max(1.0, float(np.max(finite[np.isfinite(finite)], initial=0.0)))
+    bounds = np.abs(np.concatenate([lower, upper]))
+    scale = _FEAS_TOL * max(1.0, bounds[bounds < np.inf].max(initial=0.0))
     act = a @ v
-    if max(np.max(lower - act, initial=0.0), np.max(act - upper, initial=0.0)) > scale:
+    if max((lower - act).max(initial=0.0), (act - upper).max(initial=0.0)) > scale:
         raise SolverError("simplex vertex failed feasibility certificate")
     l1 = np.abs(v).sum()
-    gap = lower[y > 0] @ y[y > 0] + upper[y < 0] @ y[y < 0] - l1
+    pos, neg = y > 0, y < 0
+    gap = lower[pos] @ y[pos] + upper[neg] @ y[neg] - l1
     if np.abs(a.T @ y).max(initial=0.0) > 1.0 + _FEAS_TOL or abs(gap) > scale * max(1.0, l1):
         raise SolverError("simplex vertex failed duality certificate")
 
@@ -190,9 +193,9 @@ def solve_lp(
         raise SolverError("inconsistent LP dimensions")
     lows = np.concatenate([np.zeros(d), np.full(d, -np.inf), lower])
     highs = np.concatenate([np.full(d, np.inf), np.zeros(d), upper])
-    costs = np.concatenate([np.ones(d), -np.ones(d), np.zeros(k)])
+    costs = np.repeat([1.0, -1.0, 0.0], [d, d, k])
     for labels in ([] if basis is None else [basis]) + [2 * d + np.arange(k)]:
-        if np.any((labels < 0) | (labels >= 2 * d + k)):
+        if labels.min() < 0 or labels.max() >= 2 * d + k:
             continue
         tab = np.zeros((k + 1, d + 1))
         tab[:k, :d] = a
