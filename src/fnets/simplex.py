@@ -48,14 +48,14 @@ def _pivot(tab: np.ndarray, p: int, q: int) -> None:
 def _exchange(tab: np.ndarray, at_rows: np.ndarray, at_cols: np.ndarray) -> None:
     """Block Jordan exchange in place: the rows ``at_rows`` trade places with
     the columns ``at_cols``, pairwise. It equals the single pivots of
-    :func:`_pivot` on the block, done by one linear solve and one product.
+    :func:`_pivot` on the block, done by one block inverse and two products.
     Raises ``LinAlgError`` when the block is singular or not square."""
     if at_rows.size != at_cols.size:
         raise np.linalg.LinAlgError("exchange block is not square")
     factors = tab[:, at_cols]
     pivot_rows = tab[at_rows]
     pivot_rows[:, at_cols] = -np.eye(at_cols.size)
-    pivot_rows = -np.linalg.solve(factors[at_rows], pivot_rows)
+    pivot_rows = np.linalg.inv(factors[at_rows]) @ -pivot_rows
     tab[:, at_cols] = 0.0
     tab += factors @ pivot_rows
     tab[at_rows] = pivot_rows
@@ -74,10 +74,11 @@ def _iterate(tab, rows, cols, lows, highs, costs, max_iter) -> np.ndarray | None
     lo_b, hi_b = lows[rows], highs[rows]
     tab[k, :d] = costs[rows] @ tab[:k, :d]
     z, x_b = tab[k, :d], tab[:k, d]
-    if not np.abs(z * free).max(initial=0.0) <= 1.0 + _RC_TOL:  # also catches nan
+    if not np.abs(z * free).max() <= 1.0 + _RC_TOL:  # also catches nan
         return None
-    # Each nonbasic logical sits at the bound its reduced cost allows.
-    step = np.where(free, 0.0, np.where(z > 0.0, 1.0, -1.0))
+    # Each nonbasic logical sits at the bound its reduced cost allows (either
+    # bound at z = 0, by the sign of the zero).
+    step = np.copysign(1.0 - free, z)
     val = np.where(step < 0, highs[cols], lows[cols])
     if np.isinf(val).any():
         return None
@@ -164,12 +165,11 @@ def _certify(a: np.ndarray, lower: np.ndarray, upper: np.ndarray, v: np.ndarray,
     bounds = np.abs(np.concatenate([lower, upper]))
     scale = _FEAS_TOL * max(1.0, bounds[bounds < np.inf].max(initial=0.0))
     act = a @ v
-    if max((lower - act).max(initial=0.0), (act - upper).max(initial=0.0)) > scale:
+    if np.maximum(lower - act, act - upper).max() > scale:
         raise SolverError("simplex vertex failed feasibility certificate")
     l1 = np.abs(v).sum()
-    pos, neg = y > 0, y < 0
-    gap = lower[pos] @ y[pos] + upper[neg] @ y[neg] - l1
-    if np.abs(a.T @ y).max(initial=0.0) > 1.0 + _FEAS_TOL or abs(gap) > scale * max(1.0, l1):
+    gap = np.where(y > 0, lower, np.where(y < 0, upper, 0.0)) @ y - l1
+    if np.abs(a.T @ y).max() > 1.0 + _FEAS_TOL or abs(gap) > scale * max(1.0, l1):
         raise SolverError("simplex vertex failed duality certificate")
 
 
@@ -212,8 +212,8 @@ def solve_lp(
             continue
         if step is not None:
             break
-    v = np.zeros(d)
-    v[rows[rows < 2 * d] % d] = tab[:k, d][rows < 2 * d]
+    v, basic_v = np.zeros(d), rows < 2 * d
+    v[rows[basic_v] % d] = tab[:k, d][basic_v]
     # Row duals: a nonbasic logical's reduced cost, clipped to the sign its
     # bound allows, and 0 for a basic one.
     logical = cols >= 2 * d
