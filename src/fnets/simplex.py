@@ -53,9 +53,9 @@ def _exchange(tab: np.ndarray, at_rows: np.ndarray, at_cols: np.ndarray) -> None
     if at_rows.size != at_cols.size:
         raise np.linalg.LinAlgError("exchange block is not square")
     factors = tab[:, at_cols]
-    pivot_rows = tab[at_rows]
-    pivot_rows[:, at_cols] = -np.eye(at_cols.size)
-    pivot_rows = np.linalg.inv(factors[at_rows]) @ -pivot_rows
+    pivot_rows = -tab[at_rows]
+    pivot_rows[:, at_cols] = np.eye(at_cols.size)
+    pivot_rows = np.linalg.inv(factors[at_rows]) @ pivot_rows
     tab[:, at_cols] = 0.0
     tab += factors @ pivot_rows
     tab[at_rows] = pivot_rows
