@@ -23,8 +23,8 @@ from .precision import (
     PrecisionFit,
     aclime,
     clime,
-    longrun_precision,
     partial_correlations,
+    precision_fit,
     symmetrise_min_modulus,
 )
 from .simulate import EvalMetrics, SimSpec, metrics, sim_restricted, sim_unrestricted, sim_var

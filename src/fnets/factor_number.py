@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, UsageError
 from .panel import TimeSeriesPanel, sample_acv
 from .spectral import default_bandwidth, spectral_matrices
 
@@ -53,7 +53,7 @@ def eigenvalue_summary(
         vals = np.linalg.eigvalsh((cov + cov.T) / 2.0)[::-1]
         return vals, 0
     if model_kind != "unrestricted":
-        raise DimensionError(f"unknown model kind {model_kind!r}")
+        raise UsageError(f"unknown model kind {model_kind!r}")
     if m is None:
         m = default_bandwidth(panel.n)
     m = min(m, panel.n - 1)

@@ -30,11 +30,7 @@ from .forecast import (
     forecast_idio,
 )
 from .panel import TimeSeriesPanel
-from .precision import (
-    PrecisionFit,
-    longrun_precision,
-    with_partial_correlations,
-)
+from .precision import PrecisionFit, precision_fit
 from .spectral import default_bandwidth, factor_adjust
 from .threshold_select import adaptive_threshold
 from .tuning import (
@@ -127,6 +123,11 @@ def fit(
             ) from None
         if not threshold >= 0:
             raise UsageError("threshold must be non-negative")
+    for name, count in (("path length", path_length), ("fold count", n_folds)):
+        if count < 1:
+            raise UsageError(f"{name} must be at least 1, got {count}")
+    if not 0 <= alpha < np.inf:
+        raise UsageError(f"alpha must be finite and non-negative, got {alpha}")
     orders = tuple(sorted(set(int(o) for o in orders)))
     if not orders or orders[0] < 1:
         raise UsageError("candidate orders must be positive integers")
@@ -193,8 +194,8 @@ def fit(
             moments, panel.n, method, lam_hat, d_hat, grid_eta, adaptive=lrpc_adaptive
         )
         eta_hat = eta_tuning.selected_lambda * eta_tuning.refit_scale
-        prec = fit_precision(gamma_hat, eta_hat, panel.n, lrpc_adaptive)
-        precision = with_partial_correlations(longrun_precision(var_fit, prec))
+        delta = fit_precision(gamma_hat, eta_hat, panel.n, lrpc_adaptive)
+        precision = precision_fit(var_fit, delta, eta_hat, lrpc_adaptive)
 
     return FittedModel(
         model_kind=model_kind,
@@ -341,15 +342,8 @@ def from_document(doc: dict) -> FittedModel:
                 raise UsageError(f"model document field {name} has shape {shape}, not {want}")
         precision = None
         if lrpc is not None:
-            precision = with_partial_correlations(
-                longrun_precision(
-                    var_fit,
-                    PrecisionFit(
-                        innovation_precision=delta,
-                        eta=float(lrpc["eta"]),
-                        adaptive=bool(lrpc["adaptive"]),
-                    ),
-                )
+            precision = precision_fit(
+                var_fit, delta, float(lrpc["eta"]), bool(lrpc["adaptive"])
             )
         return FittedModel(
             model_kind=doc["model_kind"],

@@ -133,17 +133,6 @@ def _to_json(graph: NetworkGraph) -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
-def graph_from_json(text: str) -> NetworkGraph:
-    doc = json.loads(text)
-    return NetworkGraph(
-        kind=doc["kind"],
-        directed=doc["directed"],
-        nodes=tuple(doc["nodes"]),
-        edges=tuple((src, dst, float(w)) for src, dst, w in doc["edges"]),
-        weight_matrix=np.asarray(doc["weight_matrix"], dtype=float),
-    )
-
-
 _WRITERS = {
     "dot": _to_dot,
     "edgelist_csv": _to_edgelist,

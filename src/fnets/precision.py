@@ -4,12 +4,13 @@ The innovation precision is estimated column-by-column as the l1-minimal
 solution of a sup-norm-constrained linear system (a CLIME-type programme),
 optionally with entry-adaptive constraint widths, then symmetrised by keeping
 the smaller-modulus entry of each mirror pair. The long-run precision follows
-by congruence with the VAR lag polynomial evaluated at one.
+by congruence with the VAR lag polynomial evaluated at one; ``precision_fit``
+builds it and both partial-correlation matrices from an estimate in one step.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,19 +21,16 @@ from .var import VarFit
 
 @dataclass(frozen=True)
 class PrecisionFit:
-    """Precision estimates and the derived partial-correlation matrices."""
+    """Precision estimates and the derived partial-correlation matrices, each
+    of the latter ``None`` where its precision's diagonal is not positive."""
 
     innovation_precision: np.ndarray  # symmetric p x p
     eta: float
     adaptive: bool
-    longrun_precision: np.ndarray | None = None
-    lag_polynomial_at_one: np.ndarray | None = None
-    partial_cor: np.ndarray | None = None
-    longrun_partial_cor: np.ndarray | None = None
-
-    @property
-    def p(self) -> int:
-        return self.innovation_precision.shape[0]
+    longrun_precision: np.ndarray
+    lag_polynomial_at_one: np.ndarray
+    partial_cor: np.ndarray | None
+    longrun_partial_cor: np.ndarray | None
 
 
 def _check_symmetric(mat: np.ndarray, what: str) -> np.ndarray:
@@ -49,17 +47,28 @@ def _check_symmetric(mat: np.ndarray, what: str) -> np.ndarray:
 def symmetrise_min_modulus(mat: np.ndarray) -> np.ndarray:
     """For each mirror pair keep the smaller-modulus entry (ties keep the upper)."""
     mat = np.asarray(mat, dtype=float)
-    upper = mat
-    lower = mat.T
-    pick_upper = np.abs(upper) <= np.abs(lower)
-    chosen = np.where(pick_upper, upper, lower)
-    out = np.triu(chosen) + np.triu(chosen, 1).T
-    return out
+    chosen = np.where(np.abs(mat) <= np.abs(mat.T), mat, mat.T)
+    return np.triu(chosen) + np.triu(chosen, 1).T
+
+
+def _clime_columns(
+    mat: np.ndarray,
+    widths: float | np.ndarray,
+    bases: dict[int, np.ndarray] | None,
+    stage: str,
+) -> np.ndarray:
+    """Column programmes min |b|_1 s.t. |mat b - e_j| <= widths, symmetrised;
+    a failing column raises ``SolverError`` prefixed by ``stage``."""
+    try:
+        raw = solve_l1_box(mat, np.eye(mat.shape[0]), widths, bases)
+    except SolverError as err:
+        raise SolverError(f"{stage}{err}") from err
+    return symmetrise_min_modulus(raw)
 
 
 def clime(
     gamma: np.ndarray, eta: float, bases: dict[int, np.ndarray] | None = None
-) -> PrecisionFit:
+) -> np.ndarray:
     """Constrained l1-minimal inverse of ``gamma`` at constraint width ``eta``.
 
     ``bases`` carries each column's optimal basis from one width to the next
@@ -68,14 +77,7 @@ def clime(
     gamma = _check_symmetric(gamma, "covariance estimate")
     if eta <= 0:
         raise DimensionError("constraint width must be positive")
-    p = gamma.shape[0]
-    try:
-        raw = solve_l1_box(gamma, np.eye(p), eta, bases)
-    except SolverError as err:
-        raise SolverError(f"precision {err}") from err
-    return PrecisionFit(
-        innovation_precision=symmetrise_min_modulus(raw), eta=eta, adaptive=False
-    )
+    return _clime_columns(gamma, eta, bases, "precision ")
 
 
 def aclime_step_one(gamma: np.ndarray, n: int) -> np.ndarray:
@@ -121,7 +123,7 @@ def aclime(
     n: int,
     step_one: np.ndarray | None = None,
     bases: dict[int, np.ndarray] | None = None,
-) -> PrecisionFit:
+) -> np.ndarray:
     """Adaptive two-step variant with entry-dependent constraint widths.
 
     The diagonal estimates of :func:`aclime_step_one` (computed here unless
@@ -136,27 +138,7 @@ def aclime(
         step_one = aclime_step_one(gamma, n)
     p = gamma.shape[0]
     widths = eta2 * np.sqrt(np.outer(np.diag(gamma), step_one))
-    try:
-        raw = solve_l1_box(gamma + np.eye(p) / n, np.eye(p), widths, bases)
-    except SolverError as err:
-        raise SolverError(f"adaptive step 2, {err}") from err
-    return PrecisionFit(
-        innovation_precision=symmetrise_min_modulus(raw), eta=eta2, adaptive=True
-    )
-
-
-def longrun_precision(fit: VarFit, precision: PrecisionFit) -> PrecisionFit:
-    """Long-run precision 2*pi * A(1)' Delta A(1) with A(1) = I - sum of lags."""
-    delta = _check_symmetric(precision.innovation_precision, "innovation precision")
-    p = delta.shape[0]
-    a_one = np.eye(p)
-    for lag_mat in fit.lag_matrices():
-        a_one = a_one - lag_mat
-    omega = 2.0 * np.pi * a_one.T @ delta @ a_one
-    omega = (omega + omega.T) / 2.0
-    return replace(
-        precision, longrun_precision=omega, lag_polynomial_at_one=a_one
-    )
+    return _clime_columns(gamma + np.eye(p) / n, widths, bases, "adaptive step 2, ")
 
 
 def partial_correlations(mat: np.ndarray) -> np.ndarray:
@@ -171,19 +153,24 @@ def partial_correlations(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def with_partial_correlations(precision: PrecisionFit) -> PrecisionFit:
-    """Fill both partial-correlation matrices on a completed precision fit.
+def precision_fit(
+    var_fit: VarFit, delta: np.ndarray, eta: float, adaptive: bool
+) -> PrecisionFit:
+    """Complete precision block from the innovation precision ``delta``.
 
-    Estimated precision matrices are not forced positive definite; a matrix
-    whose diagonal is not strictly positive has no partial correlations and
-    the corresponding field stays unset rather than failing the whole fit.
+    The long-run precision is 2*pi * A(1)' Delta A(1) with A(1) = I - sum of
+    lags. Estimated precision matrices are not forced positive definite; a
+    matrix whose diagonal is not strictly positive has no partial
+    correlations, and its field is ``None`` rather than failing the fit.
     """
-    pc = None
-    if np.all(np.diag(precision.innovation_precision) > 0):
-        pc = partial_correlations(precision.innovation_precision)
-    lrpc = None
-    if precision.longrun_precision is not None and np.all(
-        np.diag(precision.longrun_precision) > 0
-    ):
-        lrpc = partial_correlations(precision.longrun_precision)
-    return replace(precision, partial_cor=pc, longrun_partial_cor=lrpc)
+    delta = _check_symmetric(delta, "innovation precision")
+    a_one = np.eye(delta.shape[0])
+    for lag_mat in var_fit.lag_matrices():
+        a_one = a_one - lag_mat
+    omega = 2.0 * np.pi * a_one.T @ delta @ a_one
+    omega = (omega + omega.T) / 2.0
+    pc, lrpc = (
+        partial_correlations(mat) if np.all(np.diag(mat) > 0) else None
+        for mat in (delta, omega)
+    )
+    return PrecisionFit(delta, eta, adaptive, omega, a_one, pc, lrpc)

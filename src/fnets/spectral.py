@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, UsageError
 from .panel import AcvSequence, TimeSeriesPanel, sample_acv
 
 
@@ -132,7 +132,10 @@ def factor_adjust(
     """Factor adjustment of either kind, to lag max(m, min_lag).
 
     ``m`` is the kernel bandwidth; ``min_lag`` the deepest lag the VAR needs.
+    ``model_kind`` is "unrestricted" or "restricted"; another raises ``UsageError``.
     """
+    if model_kind not in ("unrestricted", "restricted"):
+        raise UsageError(f"unknown model kind {model_kind!r}")
     lag = max(m, min_lag)
     if lag > panel.n - 1:
         raise DimensionError(f"bandwidth/lag depth {lag} too large for n = {panel.n}")

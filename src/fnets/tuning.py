@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError, NumericalError, SolverError, UsageError
 from .panel import TimeSeriesPanel
-from .precision import PrecisionFit, aclime, aclime_step_one, clime
+from .precision import aclime, aclime_step_one, clime
 from .spectral import default_bandwidth, factor_adjust
 from .threshold_select import adaptive_threshold
 from .var import (
@@ -132,7 +132,7 @@ def fit_precision(
     adaptive: bool,
     step_one: np.ndarray | None = None,
     bases: dict[int, np.ndarray] | None = None,
-) -> PrecisionFit:
+) -> np.ndarray:
     """Innovation precision by adaptive (sample size ``n``) or plain CLIME.
 
     ``step_one`` passes in the adaptive diagonal estimates; ``bases``
@@ -155,30 +155,26 @@ def _innovation_quadform(sys: YuleWalkerSystem, beta: np.ndarray) -> np.ndarray:
     return (mat + mat.T) / 2.0
 
 
-def lambda_grid(sys: YuleWalkerSystem, path_length: int, method: str) -> np.ndarray:
-    """Descending geometric penalty grid anchored at the zero-solution bound."""
+def _geometric_grid(top: float, path_length: int, zero_message: str) -> np.ndarray:
+    """Descending geometric grid from ``top`` to top/100."""
     if path_length < 1:
         raise DimensionError("path length must be positive")
-    top = float(np.max(np.abs(sys.cross)))
     if top == 0.0:
-        raise DataError("all moment cross terms are zero; penalty grid degenerate")
-    if method == "lasso":
-        top *= 2.0
-    if path_length == 1:
-        return np.array([top])
+        raise DataError(zero_message)
     return np.geomspace(top, top / 100.0, path_length)
+
+
+def lambda_grid(sys: YuleWalkerSystem, path_length: int, method: str) -> np.ndarray:
+    """Descending geometric penalty grid anchored at the zero-solution bound."""
+    top = float(np.max(np.abs(sys.cross))) * (2.0 if method == "lasso" else 1.0)
+    zero = "all moment cross terms are zero; penalty grid degenerate"
+    return _geometric_grid(top, path_length, zero)
 
 
 def eta_grid(gamma: np.ndarray, path_length: int) -> np.ndarray:
     """Descending geometric grid for the precision constraint width."""
-    if path_length < 1:
-        raise DimensionError("path length must be positive")
-    top = float(np.max(np.abs(gamma)))
-    if top == 0.0:
-        raise DataError("covariance estimate is zero; constraint grid degenerate")
-    if path_length == 1:
-        return np.array([top])
-    return np.geomspace(top, top / 100.0, path_length)
+    zero = "covariance estimate is zero; constraint grid degenerate"
+    return _geometric_grid(float(np.max(np.abs(gamma))), path_length, zero)
 
 
 def _select(
@@ -263,11 +259,10 @@ def cv_delta(
             if not np.isfinite(scores[gi]):
                 continue
             try:
-                prec = fit_precision(gamma_tr, float(eta), n_tr, adaptive, step_one, bases)
+                delta = fit_precision(gamma_tr, float(eta), n_tr, adaptive, step_one, bases)
             except SolverError:
                 scores[gi] = np.inf
                 continue
-            delta = prec.innovation_precision
             sign, logdet = np.linalg.slogdet(delta)
             if sign <= 0 and sign * sign_te <= 0:
                 scores[gi] = np.inf

@@ -172,6 +172,12 @@ class TestFitCommand:
         delta = np.asarray(doc["lrpc"]["Delta"])
         assert np.array_equal(delta, delta.T)
 
+    @pytest.mark.parametrize("flag", ("--folds", "--path-length"))
+    def test_zero_count_usage_error(self, panel_csv, capsys, flag):
+        code, _, err = run(capsys, "fit", panel_csv, flag, "0")
+        assert code == 2
+        assert "must be at least 1, got 0" in err
+
     def test_bad_threshold_usage_error(self, panel_csv, capsys):
         code, _, err = run(capsys, "fit", panel_csv, "--q", "0", "--threshold", "adaptve")
         assert code == 2

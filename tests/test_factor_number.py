@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_panel
-from fnets.errors import DimensionError
+from fnets.errors import DimensionError, UsageError
 from fnets.factor_number import (
     default_q_max,
     eigenvalue_summary,
@@ -124,6 +124,11 @@ class TestSelectIc:
     def test_variance_nonnegative(self):
         sel = select_factor_number_ic(flagship_panel(5, n=300, p=30), variant=5)
         assert np.all(sel.s_of_c >= 0)
+
+    def test_unknown_model_kind_rejected(self):
+        panel = make_panel(np.random.default_rng(2).standard_normal((5, 80)))
+        with pytest.raises(UsageError, match="unknown model kind 'static'"):
+            select_factor_number_ic(panel, model_kind="static")
 
     def test_subsample_schedule_guard(self):
         # p = 1 makes the early ladder levels empty in the cross-section.

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import weakref
@@ -11,6 +12,7 @@ from fnets import tuning
 from fnets.errors import DataError, DimensionError, UsageError
 from fnets.factor_number import select_factor_number_ic
 from fnets.panel import TimeSeriesPanel
+from fnets.precision import PrecisionFit
 from fnets.simulate import SimSpec, metrics, sim_restricted, sim_unrestricted, sim_var
 from fnets.spectral import factor_adjust
 from fnets.var import YuleWalkerSystem, build_yule_walker
@@ -80,10 +82,15 @@ class TestFit:
             dict(q=1, q_method="bogus"),
             dict(ic_variant=9),
             dict(ic_variant=0),
+            dict(path_length=0),
+            dict(n_folds=0),
+            dict(alpha=-1.0, tuning="ebic"),
+            dict(alpha=float("nan")),
         ),
         ids=(
             "threshold-typo", "threshold-negative", "threshold-negative-string",
             "threshold-nan", "q-method", "ic-variant-9", "ic-variant-0",
+            "path-length-0", "folds-0", "alpha-negative", "alpha-nan",
         ),
     )
     def test_bad_option_rejected_before_numerical_work(self, kwargs, monkeypatch):
@@ -136,10 +143,12 @@ class TestDocument:
         assert np.array_equal(
             loaded.var_fit.innovation_cov, small_model.var_fit.innovation_cov
         )
-        assert np.array_equal(
-            loaded.precision.innovation_precision,
-            small_model.precision.innovation_precision,
-        )
+        for field in dataclasses.fields(PrecisionFit):
+            got = getattr(loaded.precision, field.name)
+            want = getattr(small_model.precision, field.name)
+            assert want is not None, field.name
+            assert type(got) is type(want), field.name
+            assert np.array_equal(got, want), field.name
         assert np.array_equal(loaded.mean_x, small_model.panel.mean_x)
         for name in ("basis", "inv_vals", "cross"):
             got = getattr(loaded.predictor, name)

@@ -10,8 +10,8 @@ from fnets.errors import DataError
 from fnets.precision import (
     aclime,
     clime,
-    longrun_precision,
     partial_correlations,
+    precision_fit,
     symmetrise_min_modulus,
 )
 from fnets.var import VarFit
@@ -20,20 +20,20 @@ from oracles import aclime_oracle, clime_column_oracle
 
 class TestClime:
     def test_identity_shrinkage(self):
-        fit = clime(np.eye(5), 0.1)
-        assert np.max(np.abs(fit.innovation_precision - 0.9 * np.eye(5))) <= 1e-8
+        delta = clime(np.eye(5), 0.1)
+        assert np.max(np.abs(delta - 0.9 * np.eye(5))) <= 1e-8
 
     def test_wide_constraint_gives_zero(self):
-        fit = clime(np.eye(3), 1.0)
-        assert np.all(fit.innovation_precision == 0.0)
+        delta = clime(np.eye(3), 1.0)
+        assert np.all(delta == 0.0)
 
     def test_diagonal_closed_form(self, rng):
         for _ in range(10):
             d = rng.uniform(0.5, 3.0, 4)
             eta = float(rng.uniform(0.05, 0.4))
-            fit = clime(np.diag(d), eta)
+            delta = clime(np.diag(d), eta)
             expect = np.diag(np.maximum(1.0 - eta, 0.0) / d)
-            assert np.max(np.abs(fit.innovation_precision - expect)) <= 1e-8
+            assert np.max(np.abs(delta - expect)) <= 1e-8
 
     def test_feasibility_before_symmetrisation(self, rng):
         for _ in range(20):
@@ -91,7 +91,7 @@ class TestAclime:
         assert 2 * math.sqrt(math.log(4) / 100) == pytest.approx(0.2355, abs=2e-4)
 
     def test_identity_matches_oracle(self):
-        got = aclime(np.eye(3), 0.5, 100).innovation_precision
+        got = aclime(np.eye(3), 0.5, 100)
         ref = aclime_oracle(np.eye(3), 0.5, 100)
         assert np.max(np.abs(got - ref)) <= 1e-6
 
@@ -103,15 +103,14 @@ class TestAclime:
         assert 1e6 > cut
         expect = math.sqrt(math.log(p) / n)
         assert expect == pytest.approx(0.1177, abs=2e-4)
-        fit = aclime(gamma, 0.5, n)
-        assert fit.innovation_precision.shape == (p, p)
+        assert aclime(gamma, 0.5, n).shape == (p, p)
 
     def test_random_matches_oracle(self, rng):
         for _ in range(8):
             a = rng.standard_normal((3, 3))
             gamma = a @ a.T + 0.6 * np.eye(3)
             gamma = (gamma + gamma.T) / 2.0
-            got = aclime(gamma, 0.6, 80).innovation_precision
+            got = aclime(gamma, 0.6, 80)
             ref = aclime_oracle(gamma, 0.6, 80)
             assert np.max(np.abs(got - ref)) <= 1e-6
 
@@ -123,46 +122,50 @@ class TestAclime:
 
 class TestLongrunPrecision:
     def test_zero_transitions(self):
-        from fnets.precision import PrecisionFit
-
         fit = VarFit(order=1, beta=np.zeros((3, 3)), method="lasso", lam=0.1)
-        prec = PrecisionFit(innovation_precision=np.eye(3) * 2.0, eta=0.1, adaptive=False)
-        out = longrun_precision(fit, prec)
+        out = precision_fit(fit, np.eye(3) * 2.0, 0.1, False)
         assert np.max(np.abs(out.longrun_precision - 2 * np.pi * 2.0 * np.eye(3))) <= 1e-12
 
     def test_scalar_value(self):
-        from fnets.precision import PrecisionFit
-
         fit = VarFit(order=1, beta=np.array([[0.5]]), method="lasso", lam=0.1)
-        prec = PrecisionFit(innovation_precision=np.array([[2.0]]), eta=0.1, adaptive=False)
-        out = longrun_precision(fit, prec)
+        out = precision_fit(fit, np.array([[2.0]]), 0.1, False)
         assert out.longrun_precision[0, 0] == pytest.approx(np.pi)
 
     def test_psd_preserved(self, rng):
-        from fnets.precision import PrecisionFit
-
         for _ in range(20):
             a = rng.standard_normal((3, 3))
             delta = a @ a.T + 0.1 * np.eye(3)
             beta = rng.uniform(-0.3, 0.3, (3, 3))
             fit = VarFit(order=1, beta=beta, method="lasso", lam=0.1)
-            out = longrun_precision(
-                fit, PrecisionFit(innovation_precision=delta, eta=0.1, adaptive=False)
-            )
+            out = precision_fit(fit, delta, 0.1, False)
             assert np.linalg.eigvalsh(out.longrun_precision).min() >= -1e-10
 
     def test_definitional_recomputation(self, rng):
-        from fnets.precision import PrecisionFit
-
         beta = rng.uniform(-0.2, 0.2, (4, 2))
         fit = VarFit(order=2, beta=beta, method="ds", lam=0.1)
         delta = np.eye(2) + 0.1
-        out = longrun_precision(
-            fit, PrecisionFit(innovation_precision=delta, eta=0.1, adaptive=False)
-        )
+        out = precision_fit(fit, delta, 0.1, False)
         a_one = out.lag_polynomial_at_one
         expect = 2 * np.pi * a_one.T @ delta @ a_one
         assert np.max(np.abs(out.longrun_precision - (expect + expect.T) / 2)) <= 1e-10
+
+    def test_every_field_filled(self, rng):
+        a = rng.standard_normal((3, 3))
+        delta = a @ a.T + 0.5 * np.eye(3)
+        fit = VarFit(order=1, beta=rng.uniform(-0.3, 0.3, (3, 3)), method="lasso", lam=0.1)
+        out = precision_fit(fit, delta, 0.25, True)
+        assert np.array_equal(out.innovation_precision, delta)
+        assert (out.eta, out.adaptive) == (0.25, True)
+        assert np.array_equal(out.lag_polynomial_at_one, np.eye(3) - fit.lag_matrix(1))
+        assert np.array_equal(out.partial_cor, partial_correlations(delta))
+        assert np.array_equal(
+            out.longrun_partial_cor, partial_correlations(out.longrun_precision)
+        )
+
+    def test_asymmetric_delta_rejected(self):
+        fit = VarFit(order=1, beta=np.zeros((2, 2)), method="lasso", lam=0.1)
+        with pytest.raises(DataError, match="innovation precision"):
+            precision_fit(fit, np.array([[1.0, 0.5], [0.0, 1.0]]), 0.1, False)
 
 
 class TestPartialCorrelations:
@@ -185,13 +188,12 @@ class TestPartialCorrelations:
             partial_correlations(np.array([[0.0, 0.1], [0.1, 1.0]]))
 
     def test_pipeline_guard_on_bad_diagonal(self):
-        from fnets.precision import PrecisionFit, with_partial_correlations
-
         bad = np.array([[-0.5, 0.1], [0.1, 1.0]])
-        prec = with_partial_correlations(
-            PrecisionFit(innovation_precision=bad, eta=0.1, adaptive=False)
-        )
+        fit = VarFit(order=1, beta=np.zeros((2, 2)), method="lasso", lam=0.1)
+        prec = precision_fit(fit, bad, 0.1, False)
         assert prec.partial_cor is None
+        assert prec.longrun_partial_cor is None
+        assert np.array_equal(prec.longrun_precision, 2 * np.pi * bad)
 
     def test_infeasible_column_named(self):
         from fnets.errors import SolverError

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import make_panel
-from fnets.errors import DimensionError
+from fnets.errors import DimensionError, UsageError
 from fnets.panel import AcvSequence, sample_acv
 from fnets.spectral import (
     bartlett_spectral_density,
     default_bandwidth,
+    factor_adjust,
     factor_adjust_restricted,
     factor_adjust_unrestricted,
     fourier_frequencies,
@@ -136,6 +137,11 @@ class TestInverseFt:
 
 
 class TestFactorAdjust:
+    def test_unknown_model_kind_rejected(self, rng):
+        panel = make_panel(rng.standard_normal((3, 50)))
+        with pytest.raises(UsageError, match="unknown model kind 'static'"):
+            factor_adjust(panel, "static", 1, 4, 1)
+
     def test_unrestricted_q_zero(self, rng):
         panel = make_panel(rng.standard_normal((3, 50)))
         fa = factor_adjust_unrestricted(panel, 0, 4)

@@ -200,9 +200,9 @@ class TestCvDelta:
         fit_precision = tuning.fit_precision
 
         def spy(*args):
-            prec = fit_precision(*args)
-            deltas.append(prec.innovation_precision)
-            return prec
+            delta = fit_precision(*args)
+            deltas.append(delta)
+            return delta
 
         monkeypatch.setattr(tuning, "fit_precision", spy)
         grid = np.geomspace(0.5, 0.02, 6)
@@ -238,12 +238,16 @@ class TestCvDelta:
     def test_passed_step_one_is_bit_identical(self):
         a = np.random.default_rng(4).standard_normal((6, 6))
         gamma = a @ a.T / 6 + 0.5 * np.eye(6)
-        inline = aclime(gamma, 0.3, 120).innovation_precision
-        passed = aclime(gamma, 0.3, 120, aclime_step_one(gamma, 120)).innovation_precision
+        inline = aclime(gamma, 0.3, 120)
+        passed = aclime(gamma, 0.3, 120, aclime_step_one(gamma, 120))
         assert np.array_equal(inline, passed)
 
 
 class TestSegmentBandwidth:
+    def test_unknown_model_kind_rejected(self):
+        with pytest.raises(UsageError, match="unknown model kind 'static'"):
+            segment_moments(oracle_panel(1), "static", 0, 1, None, (1,))
+
     @staticmethod
     def _segment_bandwidths(monkeypatch, bandwidth):
         spec = SimSpec(n=300, p=10, q=1, seed=2)
