@@ -297,11 +297,23 @@ def to_document(model: FittedModel) -> dict:
     }
 
 
+def _numeric_block(name: str, value) -> np.ndarray:
+    """A document's numeric field as a finite float array, else ``UsageError``."""
+    try:
+        block = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise UsageError(f"model document field {name} is not a numeric array") from None
+    if not np.all(np.isfinite(block)):
+        raise UsageError(f"model document field {name} has a non-finite entry")
+    return block
+
+
 def from_document(doc: dict) -> FittedModel:
     """Model from its JSON document, without the panel and tuning records.
 
-    A missing field, or a block that disagrees with the coefficient matrix on
-    the variable count p, raises ``UsageError`` naming it.
+    A missing field, a numeric block that is ragged, holds a non-finite entry
+    or disagrees with the coefficient matrix on the variable count p, or an
+    asymmetric ``lrpc.Delta`` raises ``UsageError`` naming it.
     """
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise UsageError(
@@ -312,21 +324,21 @@ def from_document(doc: dict) -> FittedModel:
         var_block, pred_block = doc["var"], doc["predictor"]
         var_fit = VarFit(
             order=int(var_block["order"]),
-            beta=np.asarray(var_block["beta"], dtype=float),
+            beta=_numeric_block("var.beta", var_block["beta"]),
             method=var_block["method"],
             lam=float(var_block["lambda"]),
-            innovation_cov=np.asarray(var_block["Gamma_hat"], dtype=float),
+            innovation_cov=_numeric_block("var.Gamma_hat", var_block["Gamma_hat"]),
             threshold=None if var_block["threshold"] is None else float(var_block["threshold"]),
         )
         predictor = CommonPredictor(
-            basis=np.asarray(pred_block["basis"], dtype=float),
-            inv_vals=np.asarray(pred_block["inv_vals"], dtype=float),
-            cross=np.asarray(pred_block["cross"], dtype=float),
+            basis=_numeric_block("predictor.basis", pred_block["basis"]),
+            inv_vals=_numeric_block("predictor.inv_vals", pred_block["inv_vals"]),
+            cross=_numeric_block("predictor.cross", pred_block["cross"]),
             rank_warning=pred_block["rank_warning"],
         )
-        mean_x = np.asarray(doc["mean_x"], dtype=float)
+        mean_x = _numeric_block("mean_x", doc["mean_x"])
         lrpc = doc.get("lrpc")
-        delta = None if lrpc is None else np.asarray(lrpc["Delta"], dtype=float)
+        delta = None if lrpc is None else _numeric_block("lrpc.Delta", lrpc["Delta"])
         p = var_fit.beta.shape[-1] if var_fit.beta.ndim == 2 else 0
         r = predictor.basis.shape[-1] if predictor.basis.ndim == 2 else 0
         for name, shape, want in (
@@ -342,9 +354,12 @@ def from_document(doc: dict) -> FittedModel:
                 raise UsageError(f"model document field {name} has shape {shape}, not {want}")
         precision = None
         if lrpc is not None:
-            precision = precision_fit(
-                var_fit, delta, float(lrpc["eta"]), bool(lrpc["adaptive"])
-            )
+            try:
+                precision = precision_fit(
+                    var_fit, delta, float(lrpc["eta"]), bool(lrpc["adaptive"])
+                )
+            except DataError as err:  # asymmetric; finiteness is checked above
+                raise UsageError(f"model document field lrpc.Delta: {err}") from None
         return FittedModel(
             model_kind=doc["model_kind"],
             q_or_r=int(doc["q_or_r"]),

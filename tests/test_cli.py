@@ -286,6 +286,17 @@ class TestForecastCommand:
         assert code == 2
         assert "mean_x" in err
 
+    def test_document_with_nan_beta_usage_error(self, panel_csv, tmp_path, capsys):
+        model = str(tmp_path / "model.json")
+        run(capsys, "fit", panel_csv, "--q", "1", "--no-lrpc", "--out", model)
+        doc = json.loads(open(model).read())
+        doc["var"]["beta"][0][0] = float("nan")
+        with open(model, "w") as fh:
+            json.dump(doc, fh)
+        code, _, err = run(capsys, "forecast", "--model", model, "--ahead", "1")
+        assert code == 2
+        assert "var.beta" in err
+
     def test_missing_model_usage_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "forecast", "--model", str(tmp_path / "nope.json"), "--ahead", "1"

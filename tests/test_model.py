@@ -26,6 +26,14 @@ def small_model():
     return model_mod.fit(panel, q=1, orders=(1, 2), lrpc=True, input_path="panel.csv")
 
 
+@pytest.fixture(scope="module")
+def ranked_model():
+    """Like ``small_model`` but with a common-component predictor of rank 1."""
+    spec = SimSpec(n=220, p=6, q=1, seed=3)
+    x = sim_var(spec).data + sim_unrestricted(spec)
+    return model_mod.fit(make_panel(x, center=True), q=1, orders=(1, 2), lrpc=True)
+
+
 class TestFit:
     def test_report_fields(self, small_model):
         text = model_mod.report(small_model)
@@ -217,6 +225,39 @@ class TestDocument:
         doc = json.loads(json.dumps(model_mod.to_document(small_model)))
         breaks(doc)
         with pytest.raises(UsageError, match=field):
+            model_mod.from_document(doc)
+
+    @pytest.mark.parametrize(
+        "field",
+        (
+            "var.beta", "var.Gamma_hat", "predictor.basis", "predictor.inv_vals",
+            "predictor.cross", "mean_x", "lrpc.Delta",
+        ),
+    )
+    def test_non_finite_block_names_the_field(self, ranked_model, field):
+        doc = json.loads(json.dumps(model_mod.to_document(ranked_model)))
+        parent, key = doc, field
+        if "." in field:
+            head, key = field.split(".")
+            parent = doc[head]
+        block = np.asarray(parent[key])
+        assert block.size > 0
+        block.flat[block.size // 2] = np.nan
+        parent[key] = block.tolist()
+        with pytest.raises(UsageError, match=f"{field} has a non-finite entry"):
+            model_mod.from_document(doc)
+
+    @pytest.mark.parametrize("entry", ("x", [1.0, 2.0]))
+    def test_non_numeric_block_names_the_field(self, small_model, entry):
+        doc = json.loads(json.dumps(model_mod.to_document(small_model)))
+        doc["var"]["Gamma_hat"][1][0] = entry
+        with pytest.raises(UsageError, match="var.Gamma_hat is not a numeric array"):
+            model_mod.from_document(doc)
+
+    def test_asymmetric_delta_names_the_field(self, small_model):
+        doc = json.loads(json.dumps(model_mod.to_document(small_model)))
+        doc["lrpc"]["Delta"][0][1] += 1.0
+        with pytest.raises(UsageError, match="lrpc.Delta: .* not symmetric"):
             model_mod.from_document(doc)
 
     def test_document_with_seed_still_loads(self, small_model):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import make_panel
+from fnets import spectral
 from fnets.errors import DimensionError, UsageError
 from fnets.panel import AcvSequence, sample_acv
+from fnets.simulate import SimSpec, sim_unrestricted, sim_var
 from fnets.spectral import (
     bartlett_spectral_density,
     default_bandwidth,
@@ -200,3 +202,109 @@ class TestFactorAdjust:
         panel = make_panel(x)
         fa = factor_adjust_restricted(panel, 1, 1)
         assert np.max(np.abs(fa.acv_xi.matrices)) <= 1e-12
+
+
+def common_spectrum(vals, vecs):
+    return (vecs * vals[:, None, :]) @ np.conj(vecs.transpose(0, 2, 1))
+
+
+def gapped_stack(rng, p, count, lead):
+    """Hermitian stack with leading eigenvalues ``lead`` over a bulk in [0.5, 1],
+    real at index 0 and rotating slowly with the index, as a spectrum does."""
+    vals = np.concatenate([lead, rng.uniform(0.5, 1.0, p - len(lead))])
+    basis = np.linalg.qr(rng.standard_normal((p, p)))[0].astype(complex)
+    a = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+    w, v = np.linalg.eigh(0.05 * (a + np.conj(a.T)))
+    rot = (v * np.exp(1j * w)) @ np.conj(v.T)  # exp(0.05i H) is unitary
+    stack = []
+    for _ in range(count):
+        stack.append((basis * vals) @ np.conj(basis.T))
+        basis = rot @ basis
+    return np.array(stack)
+
+
+@pytest.fixture(scope="module")
+def wide_panel():
+    """A simulated factor panel above the iteration's crossover in p."""
+    spec = SimSpec(n=300, p=120, q=2, seed=5)
+    assert spec.p >= spectral._ITERATIVE_MIN_P
+    return make_panel(sim_var(spec).data + sim_unrestricted(spec), center=True)
+
+
+class TestLeadingPairs:
+    @pytest.mark.parametrize("q", (1, 2, 4))
+    def test_gapped_stacks_match_eigh(self, rng, q, monkeypatch):
+        eigh = np.linalg.eigh
+        for p in (30, 100):
+            stack = gapped_stack(rng, p, 8, np.linspace(40.0, 10.0, q))
+            full = []
+            monkeypatch.setattr(
+                np.linalg, "eigh", lambda a: full.append(a.shape[-1] == p) or eigh(a)
+            )
+            vals, vecs = spectral._leading_pairs(stack, q)
+            monkeypatch.undo()
+            assert sum(full) == 1  # only the start: no frequency fell back
+            full_vals, full_vecs = np.linalg.eigh(stack)
+            ref = common_spectrum(full_vals[:, ::-1][:, :q], full_vecs[:, :, ::-1][:, :, :q])
+            got = common_spectrum(vals, vecs)
+            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+            assert np.allclose(vals, full_vals[:, ::-1][:, :q], rtol=1e-12, atol=0.0)
+
+    def test_panel_matches_eigh_and_oracle(self, wide_panel, monkeypatch):
+        calls = []
+        leading = spectral._leading_pairs
+        monkeypatch.setattr(
+            spectral, "_leading_pairs", lambda s, q: calls.append(q) or leading(s, q)
+        )
+        m = default_bandwidth(wide_panel.n)
+        fa = factor_adjust_unrestricted(wide_panel, 2, m)
+        assert calls == [2]
+        vals, vecs = bartlett_spectral_density(fa.acv_x, m)
+        got = common_spectrum(*leading(spectral_matrices(fa.acv_x, m), 2))
+        ref = common_spectrum(vals[:, :2], vecs[:, :, :2])
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+        oracle = naive_factor_adjust(list(fa.acv_x.matrices), m, 2)
+        scale = np.max(np.abs(oracle))
+        assert np.max(np.abs(fa.acv_chi.matrices - oracle)) <= 1e-9 * scale
+
+    def test_q_zero_above_crossover(self, wide_panel, monkeypatch):
+        monkeypatch.setattr(spectral, "_leading_pairs", None)  # must not be called
+        fa = factor_adjust_unrestricted(wide_panel, 0, 6)
+        assert np.max(np.abs(fa.acv_chi.matrices)) == 0.0
+        assert np.array_equal(fa.acv_xi.matrices, fa.acv_x.matrices)
+
+    def test_repeat_calls_bit_identical(self, wide_panel):
+        first = factor_adjust_unrestricted(wide_panel, 2, 8)
+        second = factor_adjust_unrestricted(wide_panel, 2, 8)
+        assert np.array_equal(first.acv_chi.matrices, second.acv_chi.matrices)
+
+    def test_no_gap_falls_back_to_eigh(self, rng, monkeypatch):
+        # lambda_2 to lambda_5 within 0.2% of each other: the block of q + 2
+        # columns converges like lambda_5 / lambda_2, too slowly for the sweep
+        # cap, so index 1 and every index after it take the full eigh.
+        stack = gapped_stack(rng, 100, 6, np.array([40.0, 20.0, 19.99, 19.98, 19.97]))
+        full = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a: full.append(a.shape[-1] == 100) or eigh(a)
+        )
+        vals, vecs = spectral._leading_pairs(stack, 2)
+        assert sum(full) == 1 + 5  # the start at index 0, then indices 1..5
+        monkeypatch.undo()
+        ref_vals, ref_vecs = np.linalg.eigh(stack[1:])
+        assert np.array_equal(vals[1:], ref_vals[:, ::-1][:, :2])
+        assert np.array_equal(vecs[1:], ref_vecs[:, :, ::-1][:, :, :2])
+
+    def test_below_crossover_is_full_eigh_reconstruction(self, rng):
+        p, m, q = 20, 7, 2
+        assert p < spectral._ITERATIVE_MIN_P
+        x = rng.standard_normal((p, 200)) + rng.standard_normal((p, 1)) * rng.standard_normal(200)
+        panel = make_panel(x, center=True)
+        fa = factor_adjust_unrestricted(panel, q, m)
+        vals, vecs = bartlett_spectral_density(sample_acv(panel, m), m)
+        common = common_spectrum(vals[:, :q], vecs[:, :, :q]).reshape(m + 1, p * p)
+        k = np.arange(m + 1)
+        arg = np.outer(k, fourier_frequencies(m))
+        weight = np.where(k == 0, 1.0, 2.0) * (2.0 * np.pi / (2 * m + 1))
+        chi = (np.cos(arg) * weight) @ common.real - (np.sin(arg) * weight) @ common.imag
+        assert np.array_equal(fa.acv_chi.matrices, chi.reshape(m + 1, p, p))
