@@ -74,16 +74,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         model_mod.write_json(args.out, model_mod.to_document(fitted))
     if args.dump_tuning:
         rows = ["stage,order,parameter,score"]
-        tun = fitted.var_tuning
-        for oi, order in enumerate(tun.orders):
-            for gi, lam in enumerate(tun.grid):
-                rows.append(f"var,{order},{_fmt(lam)},{_fmt(tun.score_surface[oi, gi])}")
-        if fitted.eta_tuning is not None:
-            eta_tun = fitted.eta_tuning
-            for gi, eta in enumerate(eta_tun.grid):
-                rows.append(
-                    f"lrpc,{eta_tun.selected_order},{_fmt(eta)},{_fmt(eta_tun.score_surface[0, gi])}"
-                )
+        for stage, tun in (("var", fitted.var_tuning), ("lrpc", fitted.eta_tuning)):
+            for oi, order in enumerate(tun.orders if tun is not None else ()):
+                for gi in range(tun.solved[oi]):  # skipped points are not listed
+                    score = _fmt(tun.score_surface[oi, gi])
+                    rows.append(f"{stage},{order},{_fmt(tun.grid[gi])},{score}")
         _write_text(args.dump_tuning, "\n".join(rows) + "\n")
     return 0
 
@@ -273,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--bandwidth", type=int, default=None)
     fit_p.add_argument("--out", default=None, help="write the model JSON here")
     fit_p.add_argument(
-        "--dump-tuning", default=None, help="CSV dump of the validation score surfaces"
+        "--dump-tuning", default=None, help="CSV of the solved points of each tuning path"
     )
     fit_p.set_defaults(func=_cmd_fit)
 

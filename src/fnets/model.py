@@ -242,6 +242,9 @@ def report(model: FittedModel) -> str:
     ]
     if model.var_tuning is not None:
         lines.append(f"Tuning method: {model.var_tuning.method}")
+        paths = ((model.var_tuning, "penalties"), (model.eta_tuning, "widths"))
+        walked = [f"{sum(t.solved)} of {t.score_surface.size} {what}" for t, what in paths if t]
+        lines.append("Tuning path: " + ", ".join(walked))
     t = model.var_fit.threshold
     lines.append(f"Threshold: {'none' if t is None else repr(float(t))}")
     nnz, total = nonzero_report(model)

@@ -10,7 +10,9 @@ process.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -41,7 +43,8 @@ class TuningResult:
     method: str  # "cv" | "ebic"
     grid: np.ndarray  # descending candidate penalties
     orders: tuple[int, ...]
-    score_surface: np.ndarray  # (len(orders), len(grid))
+    score_surface: np.ndarray  # (len(orders), len(grid)); skipped points inf
+    solved: tuple[int, ...]  # grid points solved per row, a prefix of the grid
     selected_lambda: float
     selected_order: int
     # Penalties scale with 1/sqrt(sample size); a value tuned on the training
@@ -177,13 +180,49 @@ def eta_grid(gamma: np.ndarray, path_length: int) -> np.ndarray:
     return _geometric_grid(float(np.max(np.abs(gamma))), path_length, zero)
 
 
-def _select(
-    scores: np.ndarray, grid: np.ndarray, orders: tuple[int, ...]
-) -> tuple[float, int]:
-    """Minimise with ties toward smaller order, then larger penalty."""
-    flat = int(np.argmin(scores))
-    o_idx, g_idx = np.unravel_index(flat, scores.shape)
-    return float(grid[g_idx]), orders[o_idx]
+def _walk(
+    method: str,
+    grid: np.ndarray,
+    rows: dict[int, list[Callable[[float, dict], float]]],
+    refit_scale: float = 1.0,
+) -> TuningResult:
+    """Walk a descending grid once per order, the keys of ``rows`` in
+    ascending order, and select the minimum, with ties toward smaller order,
+    then larger penalty.
+
+    At each point every fold callback of the order's row solves with that
+    fold's own warm bases, and the fold scores are summed in fold order (an
+    infinite one ends the sum). A row stops after the first point where its
+    score has risen at two consecutive finite points, s[i-2] < s[i-1] < s[i];
+    its later points are skipped and score infinity.
+    """
+    grid = np.asarray(grid, dtype=float)
+    orders = tuple(sorted(rows))
+    scores = np.full((len(orders), len(grid)), np.inf)
+    solved = [len(grid)] * len(orders)
+    for oi, folds in enumerate(rows[d] for d in orders):
+        bases: list[dict[int, np.ndarray]] = [{} for _ in folds]
+        for gi, value in enumerate(grid):
+            total = 0.0
+            for score, warm in zip(folds, bases):
+                total += score(float(value), warm)
+                if not np.isfinite(total):
+                    break
+            scores[oi, gi] = total
+            s = scores[oi, max(gi - 2, 0) : gi + 1]
+            if len(s) == 3 and np.all(np.isfinite(s)) and s[0] < s[1] < s[2]:
+                solved[oi] = gi + 1
+                break
+    o_idx, g_idx = np.unravel_index(int(np.argmin(scores)), scores.shape)
+    return TuningResult(
+        method=method, grid=grid, orders=orders, score_surface=scores, solved=tuple(solved),
+        selected_lambda=float(grid[g_idx]), selected_order=orders[o_idx], refit_scale=refit_scale,
+    )
+
+
+def _cv_var_score(seg: SegmentMoments, order: int, method: str, lam: float, bases: dict) -> float:
+    beta = fit_var(seg.train[order], method, lam, bases).beta
+    return float(np.trace(_innovation_quadform(seg.test[order], beta)))
 
 
 def cv_var(
@@ -194,25 +233,35 @@ def cv_var(
 ) -> TuningResult:
     """Rolling validation over the penalty grid and the candidate orders,
     which are those of the segment moments of an n-point panel."""
-    orders = tuple(sorted(moments[0].train))
-    scores = np.zeros((len(orders), len(grid)))
-    for seg in moments:
-        for oi, order in enumerate(orders):
-            sys_tr, sys_te = seg.train[order], seg.test[order]
-            bases: dict[int, np.ndarray] = {}
-            for gi, lam in enumerate(grid):
-                fit = fit_var(sys_tr, method, float(lam), bases)
-                scores[oi, gi] += float(np.trace(_innovation_quadform(sys_te, fit.beta)))
-    lam_hat, d_hat = _select(scores, grid, orders)
-    return TuningResult(
-        method="cv",
-        grid=np.asarray(grid, dtype=float),
-        orders=orders,
-        score_surface=scores,
-        selected_lambda=lam_hat,
-        selected_order=d_hat,
-        refit_scale=_refit_scale(moments, n),
-    )
+    rows = {
+        d: [partial(_cv_var_score, seg, d, method) for seg in moments] for d in moments[0].train
+    }
+    return _walk("cv", grid, rows, _refit_scale(moments, n))
+
+
+def _cv_delta_score(seg: SegmentMoments, method: str, lam: float, order: int, adaptive: bool):
+    sys_tr = seg.train[order]
+    beta_tr = fit_var(sys_tr, method, lam).beta
+    gamma_tr = innovation_covariance(sys_tr, beta_tr)
+    gamma_te = _innovation_quadform(seg.test[order], beta_tr)
+    sign_te = np.linalg.slogdet(gamma_te)[0]
+    n_tr = seg.n_train
+    try:
+        step_one = aclime_step_one(gamma_tr, n_tr) if adaptive else None
+    except SolverError:  # every width of the fold would fail with it
+        return lambda eta, bases: np.inf
+
+    def score(eta: float, bases: dict) -> float:
+        try:
+            delta = fit_precision(gamma_tr, eta, n_tr, adaptive, step_one, bases)
+        except SolverError:
+            return np.inf
+        sign, logdet = np.linalg.slogdet(delta)
+        if sign <= 0 and sign * sign_te <= 0:
+            return np.inf
+        return float(np.trace(delta @ gamma_te)) - logdet
+
+    return score
 
 
 def cv_delta(
@@ -234,54 +283,16 @@ def cv_delta(
     does not depend on the width. The score is finite where the divergence
     is, det(D G) > 0, and also wherever det D > 0, so an indefinite G does not
     rule out a positive definite D. Other candidates, and those whose column
-    programmes are infeasible, score infinity. Each fold walks the grid with
-    every column warm-started from its previous optimal basis; the adaptive
-    first step, which does not depend on the width, runs once per fold.
-    ``moments`` are as in :func:`cv_var`, with systems at ``order``.
+    programmes are infeasible, score infinity. Every column is warm-started
+    from its previous optimal basis along the walk; the adaptive first step,
+    which does not depend on the width, runs once per fold. ``moments`` are
+    as in :func:`cv_var`, with systems at ``order``.
     """
-    scores = np.zeros(len(grid))
-    for seg in moments:
-        sys_tr = seg.train[order]
-        beta_tr = fit_var(sys_tr, method, lam).beta
-        gamma_tr = innovation_covariance(sys_tr, beta_tr)
-        gamma_te = _innovation_quadform(seg.test[order], beta_tr)
-        sign_te = np.linalg.slogdet(gamma_te)[0]
-        n_tr = seg.n_train
-        step_one = None
-        if adaptive and np.any(np.isfinite(scores)):
-            try:
-                step_one = aclime_step_one(gamma_tr, n_tr)
-            except SolverError:
-                scores[:] = np.inf  # every width of the fold would fail with it
-                continue
-        bases: dict[int, np.ndarray] = {}
-        for gi, eta in enumerate(grid):
-            if not np.isfinite(scores[gi]):
-                continue
-            try:
-                delta = fit_precision(gamma_tr, float(eta), n_tr, adaptive, step_one, bases)
-            except SolverError:
-                scores[gi] = np.inf
-                continue
-            sign, logdet = np.linalg.slogdet(delta)
-            if sign <= 0 and sign * sign_te <= 0:
-                scores[gi] = np.inf
-                continue
-            scores[gi] += float(np.trace(delta @ gamma_te)) - logdet
-    if not np.any(np.isfinite(scores)):
-        raise NumericalError(
-            "no valid constraint-width candidate; widen the grid"
-        )
-    gi = int(np.argmin(scores))
-    return TuningResult(
-        method="cv",
-        grid=np.asarray(grid, dtype=float),
-        orders=(order,),
-        score_surface=scores[None, :],
-        selected_lambda=float(grid[gi]),
-        selected_order=order,
-        refit_scale=_refit_scale(moments, n),
-    )
+    folds = [_cv_delta_score(seg, method, lam, order, adaptive) for seg in moments]
+    result = _walk("cv", grid, {order: folds}, _refit_scale(moments, n))
+    if not np.any(np.isfinite(result.score_surface)):
+        raise NumericalError("no valid constraint-width candidate; widen the grid")
+    return result
 
 
 def log_binomial(total: int, chosen: int) -> float:
@@ -307,29 +318,17 @@ def ebic_var(
     hard-thresholded at the adaptive threshold before the support is counted
     and the quadratic loss evaluated.
     """
-    orders = tuple(sorted(systems))
-    p = systems[orders[0]].p
-    scores = np.zeros((len(orders), len(grid)))
-    for oi, order in enumerate(orders):
-        sys = systems[order]
-        bases: dict[int, np.ndarray] = {}
-        for gi, lam in enumerate(grid):
-            fit = fit_var(sys, method, float(lam), bases)
-            t_ada = adaptive_threshold(fit.beta, p * p * order)
-            beta = threshold_matrix(fit.beta, t_ada)
-            s = int(np.count_nonzero(beta))
-            loss = float(np.trace(_innovation_quadform(sys, beta)))
-            scores[oi, gi] = (
-                n / 2.0 * math.log(max(loss, np.finfo(float).tiny))
-                + s * math.log(n)
-                + 2.0 * alpha * log_binomial(order * p * p, s)
-            )
-    lam_hat, d_hat = _select(scores, grid, orders)
-    return TuningResult(
-        method="ebic",
-        grid=np.asarray(grid, dtype=float),
-        orders=orders,
-        score_surface=scores,
-        selected_lambda=lam_hat,
-        selected_order=d_hat,
-    )
+    p = next(iter(systems.values())).p
+
+    def score(order: int, lam: float, bases: dict) -> float:
+        fit = fit_var(systems[order], method, lam, bases)
+        beta = threshold_matrix(fit.beta, adaptive_threshold(fit.beta, p * p * order))
+        s = int(np.count_nonzero(beta))
+        loss = float(np.trace(_innovation_quadform(systems[order], beta)))
+        return (
+            n / 2.0 * math.log(max(loss, np.finfo(float).tiny))
+            + s * math.log(n)
+            + 2.0 * alpha * log_binomial(order * p * p, s)
+        )
+
+    return _walk("ebic", grid, {d: [partial(score, d)] for d in systems})

@@ -10,8 +10,11 @@ import math
 
 import numpy as np
 
-from fnets.errors import DimensionError, NumericalError
-from fnets.var import VarFit, YuleWalkerSystem
+from fnets.errors import DimensionError, NumericalError, SolverError
+from fnets.precision import aclime_step_one
+from fnets.threshold_select import adaptive_threshold
+from fnets.tuning import TuningResult, fit_precision, fit_var, log_binomial
+from fnets.var import VarFit, YuleWalkerSystem, innovation_covariance, threshold_matrix
 
 
 def naive_acv(x: np.ndarray, lag: int) -> np.ndarray:
@@ -266,3 +269,107 @@ def reference_lasso_fista(
         objective_trace=tuple(trace),
         gram_clipped=clipped,
     )
+
+
+# Full-grid tuning: every grid point solved, in the loop order the package
+# used before its tuning paths stopped at the turn. The solvers are the
+# package's; the walk, scoring and selection are not.
+
+
+def _quadform(sys: YuleWalkerSystem, beta: np.ndarray) -> np.ndarray:
+    cross = sys.cross
+    mat = sys.gram[: sys.p, : sys.p] - beta.T @ cross - cross.T @ beta + beta.T @ sys.gram @ beta
+    return (mat + mat.T) / 2.0
+
+
+def _full_grid_result(method, grid, orders, scores, refit_scale=1.0) -> TuningResult:
+    """First minimum in row-major order: smaller order, then larger penalty."""
+    o_idx, g_idx = divmod(int(np.argmin(scores)), scores.shape[1])
+    return TuningResult(
+        method, np.asarray(grid, dtype=float), orders, scores,
+        (len(grid),) * len(orders), float(grid[g_idx]), orders[o_idx], refit_scale,
+    )
+
+
+def _refit_scale(moments, n: int) -> float:
+    return math.sqrt(sum(s.n_train for s in moments) / len(moments) / n)
+
+
+def full_grid_cv_var(moments, n: int, method: str, grid: np.ndarray) -> TuningResult:
+    """Rolling validation solving every grid point: for each fold, for each
+    order, one warm-started pass over the whole grid, scores added per fold."""
+    orders = tuple(sorted(moments[0].train))
+    scores = np.zeros((len(orders), len(grid)))
+    for seg in moments:
+        for oi, order in enumerate(orders):
+            bases: dict = {}
+            for gi, lam in enumerate(grid):
+                beta = fit_var(seg.train[order], method, float(lam), bases).beta
+                scores[oi, gi] += float(np.trace(_quadform(seg.test[order], beta)))
+    return _full_grid_result("cv", grid, orders, scores, _refit_scale(moments, n))
+
+
+def full_grid_cv_delta(moments, n, method, lam, order, grid, adaptive=False) -> TuningResult:
+    """Width validation solving every grid point, fold after fold; a width
+    that scores infinity on one fold is not solved on later ones."""
+    scores = np.zeros(len(grid))
+    for seg in moments:
+        sys_tr = seg.train[order]
+        beta_tr = fit_var(sys_tr, method, lam).beta
+        gamma_tr = innovation_covariance(sys_tr, beta_tr)
+        gamma_te = _quadform(seg.test[order], beta_tr)
+        sign_te = np.linalg.slogdet(gamma_te)[0]
+        step_one = None
+        if adaptive and np.any(np.isfinite(scores)):
+            try:
+                step_one = aclime_step_one(gamma_tr, seg.n_train)
+            except SolverError:
+                scores[:] = np.inf
+                continue
+        bases: dict = {}
+        for gi, eta in enumerate(grid):
+            if not np.isfinite(scores[gi]):
+                continue
+            try:
+                delta = fit_precision(gamma_tr, float(eta), seg.n_train, adaptive, step_one, bases)
+            except SolverError:
+                scores[gi] = np.inf
+                continue
+            sign, logdet = np.linalg.slogdet(delta)
+            if sign <= 0 and sign * sign_te <= 0:
+                scores[gi] = np.inf
+                continue
+            scores[gi] += float(np.trace(delta @ gamma_te)) - logdet
+    if not np.any(np.isfinite(scores)):
+        raise NumericalError("no valid constraint-width candidate; widen the grid")
+    return _full_grid_result("cv", grid, (order,), scores[None, :], _refit_scale(moments, n))
+
+
+def full_grid_ebic_var(systems, n, method, grid, alpha=0.0) -> TuningResult:
+    """Extended information criterion at every grid point of every order."""
+    orders = tuple(sorted(systems))
+    p = systems[orders[0]].p
+    scores = np.zeros((len(orders), len(grid)))
+    for oi, order in enumerate(orders):
+        bases: dict = {}
+        for gi, lam in enumerate(grid):
+            fit = fit_var(systems[order], method, float(lam), bases)
+            beta = threshold_matrix(fit.beta, adaptive_threshold(fit.beta, p * p * order))
+            s = int(np.count_nonzero(beta))
+            loss = float(np.trace(_quadform(systems[order], beta)))
+            scores[oi, gi] = (
+                n / 2.0 * math.log(max(loss, np.finfo(float).tiny))
+                + s * math.log(n)
+                + 2.0 * alpha * log_binomial(order * p * p, s)
+            )
+    return _full_grid_result("ebic", grid, orders, scores)
+
+
+def first_turn(row: np.ndarray) -> int:
+    """Points of a full-grid score row up to the first index i whose score has
+    risen at two consecutive finite points; the whole row if none has."""
+    for i in range(2, len(row)):
+        a, b, c = row[i - 2 : i + 1]
+        if np.all(np.isfinite((a, b, c))) and a < b < c:
+            return i + 1
+    return len(row)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fnets.cli import main
+from oracles import first_turn
 
 
 def run(capsys, *argv):
@@ -357,19 +358,51 @@ class TestThresholdCommand:
 
 
 class TestTuningDump:
+    @staticmethod
+    def _path_counts(out):
+        # "Tuning path: 9 of 20 penalties, 7 of 10 widths" -> [(9, 20), (7, 10)]
+        line = next(ln for ln in out.splitlines() if ln.startswith("Tuning path: "))
+        parts = line[len("Tuning path: "):].split(", ")
+        return [tuple(int(w) for w in part.split()[0:3:2]) for part in parts]
+
     def test_fit_dump_tuning(self, panel_csv, tmp_path, capsys):
+        # The dump lists the solved points of each path, no skipped ones: per
+        # stage and order a prefix of the grid that ends at the grid's end or
+        # at the first point where the score has risen twice in a row.
         dump = str(tmp_path / "scores.csv")
-        code, _, _ = run(
+        code, out, _ = run(
             capsys, "fit", panel_csv, "--q", "1", "--var-order", "1", "2",
             "--dump-tuning", dump,
         )
         assert code == 0
         lines = open(dump).read().strip().splitlines()
         assert lines[0] == "stage,order,parameter,score"
+        (var_solved, var_total), (lrpc_solved, lrpc_total) = self._path_counts(out)
+        assert (var_total, lrpc_total) == (20, 10)  # 2 orders x 10 penalties, 10 widths
         var_rows = [ln for ln in lines[1:] if ln.startswith("var,")]
         lrpc_rows = [ln for ln in lines[1:] if ln.startswith("lrpc,")]
-        assert len(var_rows) == 20  # 2 orders x 10 penalties
-        assert len(lrpc_rows) == 10
+        assert len(var_rows) == var_solved < var_total
+        assert len(lrpc_rows) == lrpc_solved <= lrpc_total
+        paths = {}
+        for ln in lines[1:]:
+            stage, order, param, score = ln.split(",")
+            paths.setdefault((stage, order), []).append((float(param), float(score)))
+        assert sorted(paths) == [("lrpc", "1"), ("var", "1"), ("var", "2")]
+        for (stage, _), rows in paths.items():
+            params, scores = np.array(rows).T
+            assert np.all(np.diff(params) < 0)
+            grid = np.geomspace(params[0], params[0] / 100.0, 10)
+            assert np.allclose(params, grid[: len(params)], rtol=1e-12)
+            assert first_turn(scores) == len(scores)  # no turn before the last point
+            if len(scores) < 10:
+                assert scores[-3] < scores[-2] < scores[-1]
+
+    def test_report_without_lrpc_counts_penalties_only(self, panel_csv, capsys):
+        code, out, _ = run(capsys, "fit", panel_csv, "--q", "1", "--no-lrpc")
+        assert code == 0
+        [(solved, total)] = self._path_counts(out)
+        assert 3 <= solved <= total == 10
+        assert f"Tuning path: {solved} of 10 penalties\n" in out
 
 
 class TestFactorsCommand:

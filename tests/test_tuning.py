@@ -23,6 +23,12 @@ from fnets.tuning import (
     segment_moments,
 )
 from fnets.var import build_yule_walker
+from oracles import (
+    first_turn,
+    full_grid_cv_delta,
+    full_grid_cv_var,
+    full_grid_ebic_var,
+)
 
 
 def oracle_panel(seed, n=200, p=10, d=1):
@@ -215,8 +221,12 @@ class TestCvDelta:
         for delta in deltas:
             prod = delta @ gamma_te
             stein.append(np.trace(prod) - np.linalg.slogdet(prod)[1] - p)
-        shift = tr.score_surface[0] - np.array(stein)
-        assert len(deltas) == len(grid)
+        # The walk stops once the score has turned: only the solved widths
+        # are fitted, and the identity holds at each of them.
+        solved = tr.solved[0]
+        shift = tr.score_surface[0, :solved] - np.array(stein)
+        assert len(deltas) == solved
+        assert np.all(np.isinf(tr.score_surface[0, solved:]))
         assert np.all(np.isfinite(shift))
         assert shift == pytest.approx(np.linalg.slogdet(gamma_te)[1] + p, abs=1e-9)
 
@@ -286,7 +296,10 @@ class TestEbic:
         systems = {d: build_yule_walker(fa.acv_xi, d) for d in (1, 2)}
         grid = lambda_grid(systems[2], 4, "lasso")
         t0 = ebic_var(systems, panel.n, "lasso", grid, alpha=0.0)
-        assert np.all(np.isfinite(t0.score_surface))
+        full = full_grid_ebic_var(systems, panel.n, "lasso", grid, alpha=0.0)
+        for row, k, expect in zip(t0.score_surface, t0.solved, full.score_surface):
+            assert np.all(np.isfinite(row[:k]))
+            assert np.array_equal(row[:k], expect[:k])
 
     def test_support_non_increasing_in_alpha(self):
         panel = oracle_panel(6)
@@ -319,3 +332,221 @@ class TestEbic:
         gamma0 = factor_adjust(panel, "unrestricted", 2, 6, 1).acv_xi.at(0)
         expect = panel.n / 2.0 * math.log(np.trace(gamma0))
         assert model.var_tuning.score_surface[0, 0] == pytest.approx(expect, rel=1e-12)
+
+
+def synthetic_walk(*rows):
+    """Walk fixed score surfaces: ``rows`` holds one list of per-fold score
+    arrays per order. Returns the result and the grid indices each fold of
+    each row was asked to solve."""
+    grid = np.geomspace(1.0, 0.01, len(rows[0][0]))
+    index = {float(v): i for i, v in enumerate(grid)}
+    asked = [[[] for _ in folds] for folds in rows]
+
+    def fold(oi, k, values):
+        def score(value, bases):
+            asked[oi][k].append(index[value])
+            return values[index[value]]
+
+        return score
+
+    callbacks = {
+        oi + 1: [fold(oi, k, v) for k, v in enumerate(folds)] for oi, folds in enumerate(rows)
+    }
+    return tuning._walk("cv", grid, callbacks), asked
+
+
+class TestPathWalker:
+    def test_stops_two_points_after_the_minimum(self):
+        row = [9.0, 7.0, 4.0, 5.0, 6.0, 8.0, 9.0, 10.0]
+        tr, asked = synthetic_walk([row])
+        assert tr.solved == (5,)
+        assert asked == [[[0, 1, 2, 3, 4]]]
+        assert np.array_equal(tr.score_surface[0, :5], row[:5])
+        assert np.all(np.isinf(tr.score_surface[0, 5:]))
+        assert tr.selected_lambda == tr.grid[2]
+
+    def test_two_minima_keep_the_first(self):
+        # The walk is not the full-grid argmin on a surface that turns twice:
+        # a lower minimum after two rises is never solved.
+        row = [5.0, 4.0, 3.0, 4.0, 5.0, 1.0, 6.0, 7.0]
+        tr, _ = synthetic_walk([row])
+        assert tr.solved == (5,)
+        assert tr.selected_lambda == tr.grid[2]
+        assert int(np.argmin(row)) == 5
+
+    def test_plateau_and_single_rise_do_not_stop(self):
+        row = [5.0, 4.0, 4.0, 4.5, 4.0, 4.0, 4.2, 3.0, 3.5]
+        tr, _ = synthetic_walk([row])
+        assert tr.solved == (9,)
+        assert tr.selected_lambda == tr.grid[7]
+
+    def test_infinite_scores_never_count_as_a_rise(self):
+        head = [np.inf, np.inf, 3.0, 2.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        tr, _ = synthetic_walk([head])
+        assert tr.solved == (7,)
+        assert tr.selected_lambda == tr.grid[4]
+        # An infinite point breaks a run of rises: 2 < inf and inf < 4 are
+        # not rises, so the walk goes on to the next three finite rises.
+        middle = [3.0, 2.0, np.inf, 4.0, 5.0, 6.0, 7.0, 8.0]
+        tr, _ = synthetic_walk([middle])
+        assert tr.solved == (6,)
+        assert tr.selected_lambda == tr.grid[1]
+        # Nor does a rise into an infeasible point end the walk.
+        into = [4.0, 3.0, 3.5, np.inf, 3.6, 3.7, 2.0, 3.0, 4.0]
+        tr, _ = synthetic_walk([into])
+        assert tr.solved == (9,)
+        assert tr.selected_lambda == tr.grid[6]
+
+    def test_rows_stop_on_their_own(self):
+        early = [3.0, 2.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        late = [5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.6, 0.7]
+        tr, asked = synthetic_walk([early], [late])
+        assert tr.solved == (5, 8)
+        assert [len(a[0]) for a in asked] == [5, 8]
+        assert (tr.selected_order, tr.selected_lambda) == (2, tr.grid[5])
+
+    def test_folds_summed_before_the_stop(self):
+        rising = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+        falling = np.array([10.0, 8.0, 6.0, 4.0, 2.0, 1.0, 1.5, 3.0])
+        assert first_turn(rising) == 3
+        tr, asked = synthetic_walk([rising, falling])
+        total = rising + falling
+        assert tr.solved == (first_turn(total),) == (8,)
+        assert np.array_equal(tr.score_surface[0], total)
+        assert asked[0][0] == asked[0][1] == list(range(8))
+
+    def test_infinite_fold_skips_later_folds_at_that_point(self):
+        first = np.array([1.0, np.inf, 1.0, 1.0])
+        second = np.array([2.0, 2.0, 2.0, 2.0])
+        tr, asked = synthetic_walk([first, second])
+        assert asked[0] == [[0, 1, 2, 3], [0, 2, 3]]
+        assert np.array_equal(tr.score_surface[0], [3.0, np.inf, 3.0, 3.0])
+
+    @pytest.mark.parametrize("method", ["lasso", "ds"])
+    @pytest.mark.parametrize("n_folds", [1, 2])
+    def test_cv_var_matches_full_grid_on_solved_prefix(self, method, n_folds):
+        panel = oracle_panel(4, n=300)
+        moments = var_moments(panel, (1, 2, 3), n_folds)
+        grid = lambda_grid(moments[0].train[3], 10, method)
+        tr = cv_var(moments, panel.n, method, grid)
+        full = full_grid_cv_var(moments, panel.n, method, grid)
+        self._assert_prefix_of(tr, full)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("n_folds", [1, 2])
+    def test_cv_delta_matches_full_grid_on_solved_prefix(self, adaptive, n_folds):
+        panel = oracle_panel(3, n=300)
+        moments = var_moments(panel, (1,), n_folds)
+        grid = eta_grid(moments[0].train[1].gram, 10)
+        tr = cv_delta(moments, panel.n, "lasso", 0.1, 1, grid, adaptive)
+        full = full_grid_cv_delta(moments, panel.n, "lasso", 0.1, 1, grid, adaptive)
+        self._assert_prefix_of(tr, full)
+
+    @pytest.mark.parametrize("method", ["lasso", "ds"])
+    def test_ebic_matches_full_grid_on_solved_prefix(self, method):
+        panel = oracle_panel(6)
+        fa = factor_adjust_unrestricted(panel, 0)
+        systems = {d: build_yule_walker(fa.acv_xi, d) for d in (1, 2)}
+        grid = lambda_grid(systems[2], 10, method)
+        tr = ebic_var(systems, panel.n, method, grid, alpha=0.5)
+        self._assert_prefix_of(tr, full_grid_ebic_var(systems, panel.n, method, grid, 0.5))
+
+    @staticmethod
+    def _assert_prefix_of(tr, full):
+        # Unimodal surfaces: every solved score is the full grid's, bit for
+        # bit, the walk stops at the first turn, and the selection is equal.
+        assert tr.solved == tuple(first_turn(row) for row in full.score_surface)
+        assert sum(tr.solved) < full.score_surface.size
+        for row, k, expect in zip(tr.score_surface, tr.solved, full.score_surface):
+            assert np.array_equal(row[:k], expect[:k])
+            assert np.all(np.isinf(row[k:]))
+        assert tr.selected_lambda == full.selected_lambda
+        assert tr.selected_order == full.selected_order
+        assert tr.refit_scale == full.refit_scale
+
+    def test_lp_count_is_p_times_solved_plus_refit(self, monkeypatch):
+        # Lasso VAR, plain CLIME, one fold: every linear programme is a
+        # precision column, p per solved width plus p for the final refit.
+        from fnets import simplex
+
+        spec = SimSpec(n=300, p=20, q=2, seed=1)
+        panel = make_panel(sim_var(spec).data + sim_unrestricted(spec), center=True)
+        calls = []
+        solve_lp = simplex.solve_lp
+
+        def counted(*args):
+            calls.append(1)
+            return solve_lp(*args)
+
+        monkeypatch.setattr(simplex, "solve_lp", counted)
+        model = fit(panel, q=2, orders=(1,), lrpc=True)
+        solved = model.eta_tuning.solved[0]
+        assert solved < 10
+        assert len(calls) == 20 * (solved + 1)
+
+
+class TestFitMatchesFullGrid:
+    """A fit whose three tuning paths walk to their turn equals the fit that
+    solves every grid point, on panels whose score surfaces are unimodal."""
+
+    @staticmethod
+    def _fit_both(monkeypatch, panel, **kw):
+        import fnets.model as model_mod
+
+        out = []
+        for oracle in (False, True):
+            with monkeypatch.context() as patch:
+                if oracle:
+                    patch.setattr(model_mod, "cv_var", full_grid_cv_var)
+                    patch.setattr(model_mod, "cv_delta", full_grid_cv_delta)
+                    patch.setattr(model_mod, "ebic_var", full_grid_ebic_var)
+                try:
+                    out.append(fit(panel, q=2, orders=(1, 2), lrpc=True, **kw))
+                except Exception as err:  # the same failure on both sides
+                    out.append(repr(err))
+        return out
+
+    @staticmethod
+    def _panel(seed):
+        spec = SimSpec(n=200, p=20, q=2, seed=seed)
+        return make_panel(sim_var(spec).data + sim_unrestricted(spec), center=True)
+
+    @pytest.mark.parametrize(
+        "seed,tuning_method,n_folds,method,adaptive,restricted",
+        [
+            (1, "cv", 1, "lasso", False, False),
+            (2, "cv", 1, "ds", True, False),
+            (3, "cv", 1, "lasso", True, False),
+            (1, "cv", 2, "ds", False, False),
+            (2, "cv", 2, "lasso", False, False),
+            (3, "cv", 2, "ds", True, False),
+            (1, "ebic", 1, "ds", False, False),
+            (111, "ebic", 1, "lasso", False, False),
+            (112, "ebic", 1, "ds", False, True),
+            (113, "ebic", 1, "lasso", False, True),
+        ],
+    )
+    def test_identical_estimates(
+        self, monkeypatch, seed, tuning_method, n_folds, method, adaptive, restricted
+    ):
+        walked, full = self._fit_both(
+            monkeypatch,
+            self._panel(seed),
+            tuning=tuning_method,
+            n_folds=n_folds,
+            method=method,
+            lrpc_adaptive=adaptive,
+            restricted=restricted,
+        )
+        if isinstance(walked, str) or isinstance(full, str):
+            assert walked == full
+            return
+        assert sum(walked.var_tuning.solved) < walked.var_tuning.score_surface.size
+        for stage in ("var_tuning", "eta_tuning"):
+            a, b = getattr(walked, stage), getattr(full, stage)
+            assert (a.selected_lambda, a.selected_order) == (b.selected_lambda, b.selected_order)
+        assert np.array_equal(walked.var_fit.beta, full.var_fit.beta)
+        assert walked.precision.eta == full.precision.eta
+        assert np.array_equal(
+            walked.precision.innovation_precision, full.precision.innovation_precision
+        )
