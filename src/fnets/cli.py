@@ -155,6 +155,8 @@ def _cmd_factors(args: argparse.Namespace) -> int:
         for variant in variants:
             sel = select_factor_number_ic(panel, model_kind=kind, variant=variant)
             lines.append(f"IC{variant}: {sel.q_hat}")
+            if sel.stability_warning:
+                lines.append(f"  warning: {sel.stability_warning}")
             if variant == (args.variant or 5):
                 dump_sel = sel
         if args.dump and dump_sel is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, UsageError
-from .panel import TimeSeriesPanel, sample_acv
+from .panel import AcvSequence, TimeSeriesPanel, sample_acv
 from .spectral import default_bandwidth, spectral_matrices
 
 _TINY = np.finfo(float).tiny
@@ -37,29 +37,26 @@ class FactorNumberSelection:
     stability_warning: str | None = None
 
 
-def eigenvalue_summary(
-    panel: TimeSeriesPanel, model_kind: str, m: int | None = None
-) -> tuple[np.ndarray, int]:
-    """Per-index eigenvalue summary used by all selection rules.
+def eigenvalue_summary(acv: AcvSequence, m: int) -> np.ndarray:
+    """Per-index eigenvalue summary used by all selection rules, descending.
 
-    Unrestricted: eigenvalues of the spectral density averaged over the
-    Fourier grid, from the m+1 frequencies w >= 0 (Sigma(-w) has the same
-    ones). Restricted: eigenvalues of the lag-0 sample covariance.
-    Returns the descending summary and the bandwidth actually used (0 when
-    restricted).
+    Bandwidth m >= 1 (unrestricted): eigenvalues of the spectral density of
+    ``acv`` averaged over the Fourier grid, from the m+1 frequencies w >= 0
+    (Sigma(-w) has the same ones). m = 0 (restricted): eigenvalues of the
+    lag-0 covariance.
     """
-    if model_kind == "restricted":
-        cov = sample_acv(panel, 0).at(0)
-        vals = np.linalg.eigvalsh((cov + cov.T) / 2.0)[::-1]
-        return vals, 0
-    if model_kind != "unrestricted":
-        raise UsageError(f"unknown model kind {model_kind!r}")
-    if m is None:
-        m = default_bandwidth(panel.n)
-    m = min(m, panel.n - 1)
-    acv = sample_acv(panel, m)
+    if m == 0:
+        cov = acv.at(0)
+        return np.linalg.eigvalsh((cov + cov.T) / 2.0)[::-1]
     vals = np.linalg.eigvalsh(spectral_matrices(acv, m))[:, ::-1]
-    return (vals[0] + 2.0 * vals[1:].sum(axis=0)) / (2 * m + 1), m
+    return (vals[0] + 2.0 * vals[1:].sum(axis=0)) / (2 * m + 1)
+
+
+def _bandwidth(model_kind: str, n: int) -> int:
+    """Bandwidth of the summary of n points: the default, or 0 when restricted."""
+    if model_kind not in ("unrestricted", "restricted"):
+        raise UsageError(f"unknown model kind {model_kind!r}")
+    return 0 if model_kind == "restricted" else default_bandwidth(n)
 
 
 def _penalty(variant: int, model_kind: str, n: int, p: int, m: int) -> float:
@@ -118,6 +115,30 @@ def _subsample_schedule(n: int, p: int, levels: int = 10) -> list[tuple[int, int
     return out
 
 
+def _ladder_summaries(
+    panel: TimeSeriesPanel, schedule: list, lags: list[int], acv_x: AcvSequence | None
+):
+    """Eigenvalue summary of each sub-panel ``panel.window(p_l, n_l)`` at bandwidth m_l.
+
+    A window is a prefix and is not re-centred, so below the top its ACV is
+    s[:m_l+1, :p_l, :p_l] / n_l of one buffer of running lag sums s[k] = sum_t x_t x_{t+k}'
+    grown in time. The top, the whole panel, reads ``acv_x`` when that reaches lag m_top.
+    """
+    x = panel.values
+    sums = np.zeros((lags[-2] + 1, panel.p, panel.p))
+    done = 0  # time points summed so far
+    for (n_l, p_l), m_l in zip(schedule[:-1], lags[:-1]):
+        for k in range(len(sums)):  # the pairs (x_t, x_{t+k}) with done <= t + k < n_l
+            lo = max(done - k, 0)
+            sums[k] += x[:, lo : n_l - k] @ x[:, lo + k : n_l].T
+        done = n_l
+        yield eigenvalue_summary(AcvSequence(sums[: m_l + 1, :p_l, :p_l] / n_l), m_l)
+    del sums
+    if acv_x is None or acv_x.max_lag < lags[-1]:
+        acv_x = sample_acv(panel, lags[-1])
+    yield eigenvalue_summary(acv_x, lags[-1])
+
+
 def select_factor_number_ic(
     panel: TimeSeriesPanel,
     model_kind: str = "unrestricted",
@@ -125,6 +146,7 @@ def select_factor_number_ic(
     q_max: int | None = None,
     c_max: float = 3.0,
     grid_size: int = 200,
+    acv_x: AcvSequence | None = None,
 ) -> FactorNumberSelection:
     """Criterion-based selection with the constant tuned on nested sub-panels.
 
@@ -132,6 +154,7 @@ def select_factor_number_ic(
     sub-panels; the variance of those ten selections traces out stable
     intervals, and the estimate is read off at the start of the second
     zero-variance interval (the first one is the degenerate small-c regime).
+    ``acv_x``, the panel's own sample ACV, serves the top rung if deep enough.
     """
     n, p = panel.n, panel.p
     schedule = _subsample_schedule(n, p)
@@ -141,10 +164,10 @@ def select_factor_number_ic(
     q_bar = max(0, min(q_bar, min(p_l for _, p_l in schedule) - 1))
     c_grid = np.linspace(c_max / grid_size, c_max, grid_size)
 
+    lags = [_bandwidth(model_kind, n_l) for n_l, _ in schedule]
     selections = np.empty((len(schedule), grid_size), dtype=int)
-    for idx, (n_l, p_l) in enumerate(schedule):
-        sub = panel.window(p_l, n_l)
-        summary, m_l = eigenvalue_summary(sub, model_kind)
+    rungs = _ladder_summaries(panel, schedule, lags, acv_x)
+    for idx, ((n_l, p_l), m_l, summary) in enumerate(zip(schedule, lags, rungs)):
         # Ties go to the smaller candidate.
         selections[idx] = np.argmin(
             ic_table(summary, c_grid, variant, model_kind, n_l, p_l, m_l, q_bar), axis=1
@@ -200,7 +223,8 @@ def select_factor_number_er(
     q_bar = max(1, q_bar)
     if q_bar >= p:
         raise DimensionError(f"candidate bound {q_bar} must be below p = {p}")
-    summary, _ = eigenvalue_summary(panel, model_kind)
+    m = _bandwidth(model_kind, n)
+    summary = eigenvalue_summary(sample_acv(panel, m), m)
     # Ratios of summed eigenvalues equal ratios of averaged ones.
     curve = summary[:q_bar] / np.maximum(summary[1 : q_bar + 1], _TINY)
     q_hat = int(np.argmax(curve)) + 1

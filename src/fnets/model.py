@@ -29,7 +29,7 @@ from .forecast import (
     forecast_common_restricted,
     forecast_idio,
 )
-from .panel import TimeSeriesPanel
+from .panel import TimeSeriesPanel, sample_acv
 from .precision import PrecisionFit, precision_fit
 from .spectral import default_bandwidth, factor_adjust
 from .threshold_select import adaptive_threshold
@@ -139,11 +139,13 @@ def fit(
         names = ", ".join(panel.var_names[i] for i in flat)
         raise DataError(f"constant series: {names}; drop them before fitting")
 
+    # One full-sample ACV for the ladders' top rungs and the factor adjustment.
+    acv_x = sample_acv(panel, max(m, max(orders)))
     q_selection = None
     if q is None:
         if q_method == "ic":
             q_selection = select_factor_number_ic(
-                panel, model_kind=model_kind, variant=ic_variant
+                panel, model_kind=model_kind, variant=ic_variant, acv_x=acv_x
             )
         else:
             q_selection = select_factor_number_er(panel, model_kind=model_kind)
@@ -153,16 +155,16 @@ def fit(
             raise DimensionError(f"factor number {q} outside 0..{panel.p}")
         q_used = q
 
-    factor = factor_adjust(panel, model_kind, q_used, m, max(orders))
+    factor = factor_adjust(panel, model_kind, q_used, m, max(orders), acv_x)
     systems = {d: build_yule_walker(factor.acv_xi, d) for d in orders}
     # Static rank of the common-component predictor: the restricted model's
     # factor number, otherwise selected on the lag-0 covariance.
     if q_used == 0 or model_kind == "restricted":
         r_forecast = q_used
     else:
-        r_forecast = select_factor_number_ic(panel, model_kind="restricted").q_hat
+        r_forecast = select_factor_number_ic(panel, "restricted", acv_x=acv_x).q_hat
     predictor = common_predictor(factor.acv_chi, r_forecast, m)
-    del factor  # from here on only the systems and the predictor are read
+    del factor, acv_x  # from here on only the systems and the predictor are read
 
     grid = lambda_grid(systems[max(orders)], path_length, method)
     moments = None
@@ -235,6 +237,8 @@ def report(model: FittedModel) -> str:
         lines.append(f"Factor number selection method: {method}")
         if method == "ic":
             lines.append(f"Information criterion: IC{model.q_selection.ic_variant}")
+        if model.q_selection.stability_warning:
+            lines.append(f"Factor number warning: {model.q_selection.stability_warning}")
     lines += [
         f"Kernel bandwidth: {model.bandwidth}",
         f"VAR order: {model.var_fit.order}",

@@ -45,7 +45,7 @@ def spectral_matrices(acv: AcvSequence, m: int) -> np.ndarray:
     """Bartlett-smoothed spectral density matrices on the half grid, (m+1, p, p).
 
     Sigma(w) = [G(0) + sum_l w_l (cos(lw) (G_l + G_l') + i sin(lw) (G_l' - G_l))]
-    / 2pi, as two real products over lags.
+    / 2pi, as two real products over lags, with 1/2pi in the kernel weights.
     """
     if m < 1:
         raise DimensionError("bandwidth must be positive")
@@ -55,15 +55,16 @@ def spectral_matrices(acv: AcvSequence, m: int) -> np.ndarray:
         )
     p = acv.p
     lags = np.arange(1, m)  # the kernel weight vanishes at lag m
-    g = (1.0 - lags / m)[:, None, None] * acv.matrices[1:m]
-    gt = g.transpose(0, 2, 1)
+    weight = (1.0 - lags / m) / (2.0 * np.pi)
     arg = np.outer(fourier_frequencies(m), lags)
-    out = np.empty((m + 1, p * p), dtype=complex)
-    np.matmul(np.cos(arg), (g + gt).reshape(m - 1, p * p), out=out.real)
-    out.real += acv.at(0).ravel()
-    np.matmul(np.sin(arg), (gt - g).reshape(m - 1, p * p), out=out.imag)
-    out /= 2.0 * np.pi
-    return out.reshape(m + 1, p, p)
+    stack = acv.matrices[1:m].reshape(m - 1, p * p)
+    out = np.empty((m + 1, p, p), dtype=complex)
+    part = ((np.cos(arg) * weight) @ stack).reshape(m + 1, p, p)
+    np.add(part, part.transpose(0, 2, 1), out=out.real)
+    out.real += acv.at(0) / (2.0 * np.pi)
+    np.matmul(np.sin(arg) * weight, stack, out=part.reshape(m + 1, p * p))
+    np.subtract(part.transpose(0, 2, 1), part, out=out.imag)
+    return out
 
 
 def bartlett_spectral_density(
@@ -124,7 +125,7 @@ def _leading_pairs(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def factor_adjust_unrestricted(
-    panel: TimeSeriesPanel, q: int, m: int | None = None
+    panel: TimeSeriesPanel, q: int, m: int | None = None, acv_x: AcvSequence | None = None
 ) -> FactorAdjustment:
     """Frequency-domain factor adjustment with q dynamic factors.
 
@@ -132,14 +133,14 @@ def factor_adjust_unrestricted(
     frequency, from ``_leading_pairs`` once p >= _ITERATIVE_MIN_P; its
     inverse transform over the full grid folds onto the half grid as
     G(l) = 2pi/(2m+1) [Re S(0) + 2 sum_{k>=1} (cos(l w_k) Re S(w_k)
-    - sin(l w_k) Im S(w_k))].
+    - sin(l w_k) Im S(w_k))]. ``acv_x``, if given, is the panel's ACV to lag m.
     """
     if m is None:
         m = default_bandwidth(panel.n)
     if q < 0 or q > panel.p:
         raise DimensionError(f"factor number {q} outside 0..{panel.p}")
     p = panel.p
-    acv_x = sample_acv(panel, m)
+    acv_x = sample_acv(panel, m) if acv_x is None else acv_x
     if q == 0 or p < _ITERATIVE_MIN_P:
         vals, vecs = bartlett_spectral_density(acv_x, m)
         vals, lead = vals[:, :q], vecs[:, :, :q]
@@ -158,16 +159,17 @@ def factor_adjust_unrestricted(
 
 
 def factor_adjust_restricted(
-    panel: TimeSeriesPanel, r: int, max_lag: int
+    panel: TimeSeriesPanel, r: int, max_lag: int, acv_x: AcvSequence | None = None
 ) -> FactorAdjustment:
     """Time-domain factor adjustment by the projection P on r static eigenvectors:
     G_chi(l) = P G_x(l) P, and G_xi(l) = (I - P) G_x(l) (I - P) is the ACV of the
-    residual series (I - P) x, which ``predict`` treats as the idiosyncratic part."""
+    residual series (I - P) x, which ``predict`` treats as the idiosyncratic part;
+    ``acv_x``, if given, is the panel's ACV to ``max_lag``."""
     if r < 0 or r > panel.p:
         raise DimensionError(f"factor number {r} outside 0..{panel.p}")
     if max_lag < 1 or max_lag > panel.n - 1:
         raise DimensionError(f"max_lag {max_lag} outside 1..{panel.n - 1}")
-    acv_x = sample_acv(panel, max_lag)
+    acv_x = sample_acv(panel, max_lag) if acv_x is None else acv_x
     cov = acv_x.at(0)
     _, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
     lead_vecs = vecs[:, ::-1][:, :r]
@@ -179,11 +181,13 @@ def factor_adjust_restricted(
 
 
 def factor_adjust(
-    panel: TimeSeriesPanel, model_kind: str, q: int, m: int, min_lag: int
+    panel: TimeSeriesPanel, model_kind: str, q: int, m: int, min_lag: int,
+    acv_x: AcvSequence | None = None,
 ) -> FactorAdjustment:
     """Factor adjustment of either kind, to lag max(m, min_lag).
 
-    ``m`` is the kernel bandwidth; ``min_lag`` the deepest lag the VAR needs.
+    ``m`` is the kernel bandwidth; ``min_lag`` the deepest lag the VAR needs;
+    ``acv_x``, when given, the panel's sample ACV to that lag.
     ``model_kind`` is "unrestricted" or "restricted"; another raises ``UsageError``.
     """
     if model_kind not in ("unrestricted", "restricted"):
@@ -192,5 +196,5 @@ def factor_adjust(
     if lag > panel.n - 1:
         raise DimensionError(f"bandwidth/lag depth {lag} too large for n = {panel.n}")
     if model_kind == "restricted":
-        return factor_adjust_restricted(panel, q, lag)
-    return factor_adjust_unrestricted(panel, q, lag)
+        return factor_adjust_restricted(panel, q, lag, acv_x)
+    return factor_adjust_unrestricted(panel, q, lag, acv_x)

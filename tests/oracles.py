@@ -10,8 +10,11 @@ import math
 
 import numpy as np
 
-from fnets.errors import DimensionError, NumericalError, SolverError
+from fnets.errors import DimensionError, NumericalError, SolverError, UsageError
+from fnets.factor_number import FactorNumberSelection, _subsample_schedule, default_q_max, ic_table
+from fnets.panel import TimeSeriesPanel, sample_acv
 from fnets.precision import aclime_step_one
+from fnets.spectral import default_bandwidth, spectral_matrices
 from fnets.threshold_select import adaptive_threshold
 from fnets.tuning import TuningResult, fit_precision, fit_var, log_binomial
 from fnets.var import VarFit, YuleWalkerSystem, innovation_covariance, threshold_matrix
@@ -373,3 +376,101 @@ def first_turn(row: np.ndarray) -> int:
         if np.all(np.isfinite((a, b, c))) and a < b < c:
             return i + 1
     return len(row)
+
+
+def per_window_summary(
+    panel: TimeSeriesPanel, model_kind: str, m: int | None = None
+) -> tuple[np.ndarray, int]:
+    """Per-index eigenvalue summary of a whole panel, from its own ACV.
+
+    Unrestricted: eigenvalues of the spectral density averaged over the
+    Fourier grid, from the m+1 frequencies w >= 0 (Sigma(-w) has the same
+    ones). Restricted: eigenvalues of the lag-0 sample covariance.
+    Returns the descending summary and the bandwidth actually used (0 when
+    restricted).
+    """
+    if model_kind == "restricted":
+        cov = sample_acv(panel, 0).at(0)
+        vals = np.linalg.eigvalsh((cov + cov.T) / 2.0)[::-1]
+        return vals, 0
+    if model_kind != "unrestricted":
+        raise UsageError(f"unknown model kind {model_kind!r}")
+    if m is None:
+        m = default_bandwidth(panel.n)
+    m = min(m, panel.n - 1)
+    acv = sample_acv(panel, m)
+    vals = np.linalg.eigvalsh(spectral_matrices(acv, m))[:, ::-1]
+    return (vals[0] + 2.0 * vals[1:].sum(axis=0)) / (2 * m + 1), m
+
+
+def per_window_select_factor_number_ic(
+    panel: TimeSeriesPanel,
+    model_kind: str = "unrestricted",
+    variant: int = 5,
+    q_max: int | None = None,
+    c_max: float = 3.0,
+    grid_size: int = 200,
+) -> FactorNumberSelection:
+    """Criterion-based selection with the constant tuned on nested sub-panels,
+    each sub-panel copied out with ``panel.window`` and its ACV computed on
+    its own (the ladder as it was before the running-sum pass).
+
+    For every c on the grid the criterion is minimised on each of ten nested
+    sub-panels; the variance of those ten selections traces out stable
+    intervals, and the estimate is read off at the start of the second
+    zero-variance interval (the first one is the degenerate small-c regime).
+    """
+    n, p = panel.n, panel.p
+    schedule = _subsample_schedule(n, p)
+    if any(n_l < 3 or p_l < 1 for n_l, p_l in schedule):
+        raise DimensionError("panel too small for the subsample schedule")
+    q_bar = default_q_max(n, p) if q_max is None else q_max
+    q_bar = max(0, min(q_bar, min(p_l for _, p_l in schedule) - 1))
+    c_grid = np.linspace(c_max / grid_size, c_max, grid_size)
+
+    selections = np.empty((len(schedule), grid_size), dtype=int)
+    for idx, (n_l, p_l) in enumerate(schedule):
+        sub = panel.window(p_l, n_l)
+        summary, m_l = per_window_summary(sub, model_kind)
+        # Ties go to the smaller candidate.
+        selections[idx] = np.argmin(
+            ic_table(summary, c_grid, variant, model_kind, n_l, p_l, m_l, q_bar), axis=1
+        )
+
+    s_of_c = selections.var(axis=0, ddof=1)
+    q_by_c = selections[-1]  # the last ladder level is the full panel
+
+    zero = s_of_c <= 1e-12
+    runs: list[tuple[int, int]] = []
+    start = None
+    for i, flag in enumerate(zero):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, grid_size - 1))
+
+    warning = None
+    if len(runs) >= 2:
+        c_idx = runs[1][0]
+    elif len(runs) == 1:
+        c_idx = runs[0][1]
+        warning = "single stability interval; used its last grid point"
+    else:
+        c_idx = int(np.argmin(s_of_c))
+        warning = "no zero-variance interval; used the minimum-variance point"
+
+    return FactorNumberSelection(
+        method="ic",
+        model_kind=model_kind,
+        q_hat=int(q_by_c[c_idx]),
+        q_max=q_bar,
+        ic_variant=variant,
+        c_grid=c_grid,
+        q_by_c=q_by_c,
+        s_of_c=s_of_c,
+        c_hat=float(c_grid[c_idx]),
+        stability_warning=warning,
+    )

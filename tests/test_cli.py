@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fnets.cli import main
+from fnets.simulate import SimSpec, sim_restricted, sim_var
 from oracles import first_turn
 
 
@@ -423,6 +424,17 @@ class TestFactorsCommand:
         assert code == 0
         assert "Factor model: restricted" in out
         assert "IC5:" in out
+
+    def test_stability_warning_under_its_ic_line(self, tmp_path, capsys):
+        spec = SimSpec(n=100, p=10, q=2, seed=20)
+        path = str(tmp_path / "static.csv")
+        np.savetxt(path, (sim_var(spec).data + sim_restricted(spec)).T, delimiter=",")
+        code, out, _ = run(capsys, "factors", path, "--restricted")
+        assert code == 0
+        warning = "  warning: single stability interval; used its last grid point\n"
+        assert f"IC5: 3\n{warning}" in out
+        code, out, _ = run(capsys, "factors", path)
+        assert code == 0 and "warning" not in out
 
     def test_dump_csv(self, panel_csv, tmp_path, capsys):
         dump = str(tmp_path / "curve.csv")

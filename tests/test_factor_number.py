@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import make_panel
+from fnets import factor_number
 from fnets.errors import DimensionError, UsageError
 from fnets.factor_number import (
+    _subsample_schedule,
     default_q_max,
     eigenvalue_summary,
     ic_table,
@@ -14,6 +16,8 @@ from fnets.factor_number import (
 )
 from fnets.panel import TimeSeriesPanel, sample_acv
 from fnets.simulate import SimSpec, sim_unrestricted, sim_var
+from fnets.spectral import default_bandwidth
+from ladder_matrix import FAST, mismatch
 from oracles import naive_spectral
 
 
@@ -108,15 +112,18 @@ class TestSelectIc:
 
     def test_summary_equals_full_grid_mean(self):
         panel = flagship_panel(11)
-        summary, m = eigenvalue_summary(panel, "unrestricted")
-        acvs = list(sample_acv(panel, m).matrices)
+        m = default_bandwidth(panel.n)
+        acv = sample_acv(panel, m)
+        summary = eigenvalue_summary(acv, m)
+        acvs = list(acv.matrices)
         mats = [naive_spectral(acvs, m, 2 * np.pi * k / (2 * m + 1)) for k in range(-m, m + 1)]
         ref = np.linalg.eigvalsh(np.array(mats))[:, ::-1].mean(axis=0)
         assert np.max(np.abs(summary - ref) / np.abs(ref)) <= 1e-10
 
     def test_tiny_c_selects_max(self):
         panel = flagship_panel(7, n=300, p=30)
-        summary, m = eigenvalue_summary(panel, "unrestricted")
+        m = default_bandwidth(panel.n)
+        summary = eigenvalue_summary(sample_acv(panel, m), m)
         assert np.all(np.diff(summary) < 0)
         sel = select_factor_number_ic(panel, variant=5, c_max=1e-9, grid_size=1)
         assert sel.q_hat == sel.q_max
@@ -134,6 +141,52 @@ class TestSelectIc:
         # p = 1 makes the early ladder levels empty in the cross-section.
         with pytest.raises(DimensionError):
             select_factor_number_ic(make_panel(np.random.default_rng(0).standard_normal((1, 50))))
+
+
+class TestLadderPass:
+    """The ladder reads every sub-panel's ACV off one running-sum pass."""
+
+    @pytest.mark.parametrize("n, p, seed, kind", FAST)
+    def test_matches_per_window_oracle(self, n, p, seed, kind):
+        # The whole matrix: PYTHONPATH=src:tests python tests/ladder_matrix.py
+        assert mismatch(n, p, seed, kind) is None
+
+    @pytest.mark.parametrize("kind", ["unrestricted", "restricted"])
+    @pytest.mark.parametrize("n, p", [(60, 80), (5, 8), (120, 10)])
+    def test_window_acvs_equal_their_own(self, monkeypatch, n, p, kind):
+        # p > n; and n = 5, where the bandwidth rule gives 5 and is clamped to 4.
+        panel = make_panel(np.random.default_rng(n + p).standard_normal((p, n)), center=True)
+        seen = []
+
+        def spy(acv, m):
+            seen.append((acv.matrices.copy(), m))
+            return eigenvalue_summary(acv, m)
+
+        monkeypatch.setattr(factor_number, "eigenvalue_summary", spy)
+        select_factor_number_ic(panel, model_kind=kind)
+        schedule = _subsample_schedule(n, p)
+        assert len(seen) == len(schedule)
+        for (mats, m), (n_l, p_l) in zip(seen, schedule):
+            assert m == (0 if kind == "restricted" else min(default_bandwidth(n_l), n_l - 1))
+            want = sample_acv(panel.window(p_l, n_l), m).matrices
+            assert mats.shape == want.shape
+            assert np.max(np.abs(mats - want)) <= 1e-12 * np.max(np.abs(want))
+        if n == 5 and kind == "unrestricted":
+            assert {m for _, m in seen} == {4}
+
+    def test_given_full_sample_acv_serves_the_top_rung(self, monkeypatch):
+        panel = flagship_panel(4, n=300, p=30)
+        m = default_bandwidth(panel.n)
+        own = select_factor_number_ic(panel)
+        calls = []
+        monkeypatch.setattr(factor_number, "sample_acv", lambda *a: calls.append(a) or sample_acv(*a))
+        for lag in (m, m + 3):
+            shared = select_factor_number_ic(panel, acv_x=sample_acv(panel, lag))
+            assert np.array_equal(shared.q_by_c, own.q_by_c)
+            assert np.array_equal(shared.s_of_c, own.s_of_c)
+        assert calls == []
+        select_factor_number_ic(panel, acv_x=sample_acv(panel, m - 1))  # too shallow
+        assert [lag for _, lag in calls] == [m]
 
 
 class TestSelectEr:
@@ -187,11 +240,9 @@ class TestRestricted:
 
     def test_restricted_summary_is_covariance_spectrum(self, rng):
         panel = make_panel(rng.standard_normal((6, 80)), center=True)
-        summary, m = eigenvalue_summary(panel, "restricted")
-        assert m == 0
-        from fnets.panel import sample_acv
-
-        cov = sample_acv(panel, 0).at(0)
+        acv = sample_acv(panel, 0)
+        summary = eigenvalue_summary(acv, 0)
+        cov = acv.at(0)
         assert np.allclose(summary, np.linalg.eigvalsh(cov)[::-1])
 
     def test_default_q_max(self):

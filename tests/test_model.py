@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from conftest import make_panel
+from fnets import factor_number, spectral, tuning
 from fnets import model as model_mod
-from fnets import tuning
 from fnets.errors import DataError, DimensionError, UsageError
 from fnets.factor_number import select_factor_number_ic
-from fnets.panel import TimeSeriesPanel
+from fnets.panel import TimeSeriesPanel, sample_acv
 from fnets.precision import PrecisionFit
 from fnets.simulate import SimSpec, metrics, sim_restricted, sim_unrestricted, sim_var
-from fnets.spectral import factor_adjust
+from fnets.spectral import default_bandwidth, factor_adjust, spectral_matrices
 from fnets.var import YuleWalkerSystem, build_yule_walker
+from oracles import per_window_select_factor_number_ic
 
 
 @pytest.fixture(scope="module")
@@ -408,3 +409,69 @@ class TestMomentSystems:
         monkeypatch.setattr(model_mod, "segment_moments", segments)
         model_mod.fit(self._panel(), q=1, orders=(1,), lrpc=True)
         assert freed == [True]
+
+
+class TestSharedAcv:
+    """``fit`` computes the full-sample ACV once, for both ladders' top rungs
+    and the factor adjustment."""
+
+    @staticmethod
+    def _panel(restricted):
+        spec = SimSpec(n=300, p=20, q=2, seed=5)
+        common = sim_restricted(spec) if restricted else sim_unrestricted(spec)
+        return make_panel(sim_var(spec).data + common, center=True)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("shift", [3, -3])
+    def test_estimates_equal_per_window_fit(self, monkeypatch, restricted, shift):
+        # A bandwidth above the ladder's top one leaves a deeper ACV to share;
+        # one below it makes the top rung compute its own.
+        panel = self._panel(restricted)
+        kwargs = dict(restricted=restricted, orders=(1, 2), lrpc=False,
+                      bandwidth=default_bandwidth(panel.n) + shift)
+        got = model_mod.fit(panel, **kwargs)
+
+        def per_window(panel, *args, acv_x=None, **kw):
+            return per_window_select_factor_number_ic(panel, *args, **kw)
+
+        monkeypatch.setattr(model_mod, "select_factor_number_ic", per_window)
+        monkeypatch.setattr(model_mod, "factor_adjust", lambda *args: factor_adjust(*args[:5]))
+        want = model_mod.fit(panel, **kwargs)
+        assert got.q_selection.q_hat == want.q_selection.q_hat
+        assert np.array_equal(got.q_selection.s_of_c, want.q_selection.s_of_c)
+        assert (got.r_forecast, got.var_fit.order, got.var_fit.lam) == (
+            want.r_forecast, want.var_fit.order, want.var_fit.lam)
+        assert np.array_equal(got.var_fit.beta, want.var_fit.beta)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_one_full_sample_acv_pass(self, monkeypatch, restricted):
+        panel = self._panel(restricted)
+        full, stacks = [], []
+
+        def acv_spy(sample, max_lag):
+            if sample.n == panel.n:
+                full.append(max_lag)
+            return sample_acv(sample, max_lag)
+
+        def spectral_spy(acv, m):
+            stacks.append(m)
+            return spectral_matrices(acv, m)
+
+        for mod in (model_mod, factor_number, spectral):
+            monkeypatch.setattr(mod, "sample_acv", acv_spy)
+        for mod in (factor_number, spectral):
+            monkeypatch.setattr(mod, "spectral_matrices", spectral_spy)
+        model_mod.fit(panel, restricted=restricted, lrpc=False)
+        assert full == [default_bandwidth(panel.n)]
+        if restricted:
+            assert stacks == []  # the restricted ladder reads lag-0 covariances only
+
+    def test_report_prints_stability_warning(self):
+        spec = SimSpec(n=100, p=10, q=2, seed=20)
+        panel = make_panel(sim_var(spec).data + sim_restricted(spec), center=True)
+        fitted = model_mod.fit(panel, restricted=True, lrpc=False)
+        warning = fitted.q_selection.stability_warning
+        assert warning == "single stability interval; used its last grid point"
+        assert f"Factor number warning: {warning}\n" in model_mod.report(fitted)
+        pinned = model_mod.fit(panel, restricted=True, q=fitted.q_or_r, lrpc=False)
+        assert "Factor number warning" not in model_mod.report(pinned)
