@@ -14,7 +14,7 @@ import numpy as np
 
 from . import model as model_mod
 from .errors import FnetsError, UsageError
-from .factor_number import select_factor_number_er, select_factor_number_ic
+from .factor_number import ic_ladder, ic_selection, select_factor_number_er
 from .networks import export, extract_granger, extract_undirected
 from .panel import TimeSeriesPanel, load_panel
 from .simulate import SimSpec, sim_restricted, sim_unrestricted, sim_var
@@ -151,15 +151,14 @@ def _cmd_factors(args: argparse.Namespace) -> int:
         lines.append("Method: information criterion")
         lines.append("Number of factors:")
         variants = [args.variant] if args.variant else range(1, 7)
-        dump_sel = None
+        ladder = ic_ladder(panel, kind)
         for variant in variants:
-            sel = select_factor_number_ic(panel, model_kind=kind, variant=variant)
+            sel = ic_selection(ladder, kind, variant)
             lines.append(f"IC{variant}: {sel.q_hat}")
             if sel.stability_warning:
                 lines.append(f"  warning: {sel.stability_warning}")
-            if variant == (args.variant or 5):
-                dump_sel = sel
-        if args.dump and dump_sel is not None:
+        if args.dump:
+            dump_sel = ic_selection(ladder, kind, args.variant or 5)
             rows = ["c,q_hat,s_of_c"]
             for c, qc, sc in zip(dump_sel.c_grid, dump_sel.q_by_c, dump_sel.s_of_c):
                 rows.append(f"{_fmt(c)},{int(qc)},{_fmt(sc)}")

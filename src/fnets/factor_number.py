@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, UsageError
 from .panel import AcvSequence, TimeSeriesPanel, sample_acv
-from .spectral import default_bandwidth, spectral_matrices
+from .spectral import _frequency_blocks, default_bandwidth, spectral_matrices
 
 _TINY = np.finfo(float).tiny
 
@@ -48,7 +48,9 @@ def eigenvalue_summary(acv: AcvSequence, m: int) -> np.ndarray:
     if m == 0:
         cov = acv.at(0)
         return np.linalg.eigvalsh((cov + cov.T) / 2.0)[::-1]
-    vals = np.linalg.eigvalsh(spectral_matrices(acv, m))[:, ::-1]
+    blocks = _frequency_blocks(m, acv.p)
+    vals = np.concatenate([np.linalg.eigvalsh(spectral_matrices(acv, m, b)) for b in blocks])
+    vals = vals[:, ::-1]
     return (vals[0] + 2.0 * vals[1:].sum(axis=0)) / (2 * m + 1)
 
 
@@ -115,59 +117,56 @@ def _subsample_schedule(n: int, p: int, levels: int = 10) -> list[tuple[int, int
     return out
 
 
-def _ladder_summaries(
-    panel: TimeSeriesPanel, schedule: list, lags: list[int], acv_x: AcvSequence | None
-):
-    """Eigenvalue summary of each sub-panel ``panel.window(p_l, n_l)`` at bandwidth m_l.
+def ic_ladder(
+    panel: TimeSeriesPanel, model_kind: str = "unrestricted", acv_x: AcvSequence | None = None
+) -> list[tuple[int, int, int, np.ndarray]]:
+    """(n_l, p_l, m_l, eigenvalue summary) of each sub-panel ``panel.window(p_l, n_l)``
+    of the ten-rung schedule, the whole panel last; no criterion variant changes them.
 
     A window is a prefix and is not re-centred, so below the top its ACV is
     s[:m_l+1, :p_l, :p_l] / n_l of one buffer of running lag sums s[k] = sum_t x_t x_{t+k}'
     grown in time. The top, the whole panel, reads ``acv_x`` when that reaches lag m_top.
     """
+    schedule = _subsample_schedule(panel.n, panel.p)
+    if any(n_l < 3 or p_l < 1 for n_l, p_l in schedule):
+        raise DimensionError("panel too small for the subsample schedule")
+    lags = [_bandwidth(model_kind, n_l) for n_l, _ in schedule]
     x = panel.values
     sums = np.zeros((lags[-2] + 1, panel.p, panel.p))
     done = 0  # time points summed so far
+    ladder = []
     for (n_l, p_l), m_l in zip(schedule[:-1], lags[:-1]):
         for k in range(len(sums)):  # the pairs (x_t, x_{t+k}) with done <= t + k < n_l
             lo = max(done - k, 0)
             sums[k] += x[:, lo : n_l - k] @ x[:, lo + k : n_l].T
         done = n_l
-        yield eigenvalue_summary(AcvSequence(sums[: m_l + 1, :p_l, :p_l] / n_l), m_l)
+        summary = eigenvalue_summary(AcvSequence.adopt(sums[: m_l + 1, :p_l, :p_l] / n_l), m_l)
+        ladder.append((n_l, p_l, m_l, summary))
     del sums
     if acv_x is None or acv_x.max_lag < lags[-1]:
         acv_x = sample_acv(panel, lags[-1])
-    yield eigenvalue_summary(acv_x, lags[-1])
+    return ladder + [(*schedule[-1], lags[-1], eigenvalue_summary(acv_x, lags[-1]))]
 
 
-def select_factor_number_ic(
-    panel: TimeSeriesPanel,
-    model_kind: str = "unrestricted",
-    variant: int = 5,
-    q_max: int | None = None,
-    c_max: float = 3.0,
-    grid_size: int = 200,
-    acv_x: AcvSequence | None = None,
+def ic_selection(
+    ladder: list, model_kind: str = "unrestricted", variant: int = 5, q_max: int | None = None,
+    c_max: float = 3.0, grid_size: int = 200,
 ) -> FactorNumberSelection:
-    """Criterion-based selection with the constant tuned on nested sub-panels.
+    """Criterion ``variant`` on an ``ic_ladder`` of ``model_kind``, its constant
+    tuned on the nested sub-panels.
 
     For every c on the grid the criterion is minimised on each of ten nested
     sub-panels; the variance of those ten selections traces out stable
     intervals, and the estimate is read off at the start of the second
     zero-variance interval (the first one is the degenerate small-c regime).
-    ``acv_x``, the panel's own sample ACV, serves the top rung if deep enough.
     """
-    n, p = panel.n, panel.p
-    schedule = _subsample_schedule(n, p)
-    if any(n_l < 3 or p_l < 1 for n_l, p_l in schedule):
-        raise DimensionError("panel too small for the subsample schedule")
+    n, p = ladder[-1][:2]
     q_bar = default_q_max(n, p) if q_max is None else q_max
-    q_bar = max(0, min(q_bar, min(p_l for _, p_l in schedule) - 1))
+    q_bar = max(0, min(q_bar, min(p_l for _, p_l, _, _ in ladder) - 1))
     c_grid = np.linspace(c_max / grid_size, c_max, grid_size)
 
-    lags = [_bandwidth(model_kind, n_l) for n_l, _ in schedule]
-    selections = np.empty((len(schedule), grid_size), dtype=int)
-    rungs = _ladder_summaries(panel, schedule, lags, acv_x)
-    for idx, ((n_l, p_l), m_l, summary) in enumerate(zip(schedule, lags, rungs)):
+    selections = np.empty((len(ladder), grid_size), dtype=int)
+    for idx, (n_l, p_l, m_l, summary) in enumerate(ladder):
         # Ties go to the smaller candidate.
         selections[idx] = np.argmin(
             ic_table(summary, c_grid, variant, model_kind, n_l, p_l, m_l, q_bar), axis=1
@@ -210,6 +209,17 @@ def select_factor_number_ic(
         c_hat=float(c_grid[c_idx]),
         stability_warning=warning,
     )
+
+
+def select_factor_number_ic(
+    panel: TimeSeriesPanel, model_kind: str = "unrestricted", variant: int = 5,
+    q_max: int | None = None, c_max: float = 3.0, grid_size: int = 200,
+    acv_x: AcvSequence | None = None,
+) -> FactorNumberSelection:
+    """``ic_selection`` on the panel's ``ic_ladder``; ``acv_x``, the panel's own
+    sample ACV, serves the ladder's top rung if deep enough."""
+    ladder = ic_ladder(panel, model_kind, acv_x)
+    return ic_selection(ladder, model_kind, variant, q_max, c_max, grid_size)
 
 
 def select_factor_number_er(

@@ -14,6 +14,10 @@ from .errors import DataError, DimensionError, FormatError
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` if it is a read-only float array owning its memory, else a read-only copy."""
+    fresh = isinstance(a, np.ndarray) and a.base is None and not a.flags.writeable
+    if fresh and a.dtype == float:
+        return a
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
@@ -88,18 +92,25 @@ class AcvSequence:
     """Autocovariance matrices at lags 0..max_lag.
 
     Negative lags are never stored: the estimator defines them through
-    transposition, so ``at(-k)`` returns ``at(k).T``.
+    transposition, so ``at(-k)`` returns ``at(k).T``. A writeable array or a
+    view is copied, so it stays the caller's; ``adopt`` takes a fresh stack.
     """
 
     matrices: np.ndarray  # (max_lag + 1, p, p)
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=float)
+        mats = _frozen(self.matrices)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise DimensionError("ACV storage must be a stack of square matrices")
         if not np.all(np.isfinite(mats)):
             raise DataError("ACV matrices contain non-finite values")
-        object.__setattr__(self, "matrices", _frozen(mats))
+        object.__setattr__(self, "matrices", mats)
+
+    @classmethod
+    def adopt(cls, mats: np.ndarray) -> "AcvSequence":
+        """The sequence of a float stack the package just made, frozen in place, not copied."""
+        mats.flags.writeable = False
+        return cls(mats)
 
     @property
     def max_lag(self) -> int:
@@ -216,4 +227,4 @@ def sample_acv(panel: TimeSeriesPanel, max_lag: int) -> AcvSequence:
             mats[0] = x @ x.T / n
         else:
             mats[lag] = x[:, :-lag] @ x[:, lag:].T / n
-    return AcvSequence(mats)
+    return AcvSequence.adopt(mats)

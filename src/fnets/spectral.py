@@ -41,8 +41,24 @@ def fourier_frequencies(m: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(m + 1) / (2 * m + 1)
 
 
-def spectral_matrices(acv: AcvSequence, m: int) -> np.ndarray:
-    """Bartlett-smoothed spectral density matrices on the half grid, (m+1, p, p).
+# Frequencies per spectral block once p >= _ITERATIVE_MIN_P. A block of 4 and its
+# real buffer hold 2/3 of a real ACV stack at m = 17, the whole grid 3 stacks. One
+# ladder rung's summary (n = 500, one BLAS thread) took 14 / 74 / 428 ms at p = 100
+# / 200 / 400, the whole grid 14 / 77 / 484 ms and blocks of 1 15 / 98 / 593 ms.
+# Below that one block holds the whole grid (at most 2.7 MB at m = 17): blocks of
+# 4 took 1.29 / 1.07 / 1.02 times its time per summary at p = 20 / 50 / 79.
+_FREQ_BLOCK = 4
+
+
+def _frequency_blocks(m: int, p: int) -> list[slice]:
+    """The half grid k = 0..m in consecutive blocks of frequencies (see _FREQ_BLOCK)."""
+    size = _FREQ_BLOCK if p >= _ITERATIVE_MIN_P else m + 1
+    return [slice(k, k + size) for k in range(0, m + 1, size)]
+
+
+def spectral_matrices(acv: AcvSequence, m: int, block: slice = slice(None)) -> np.ndarray:
+    """Bartlett-smoothed spectral density matrices at the half-grid frequencies
+    ``block`` selects (all m+1 by default), (K, p, p).
 
     Sigma(w) = [G(0) + sum_l w_l (cos(lw) (G_l + G_l') + i sin(lw) (G_l' - G_l))]
     / 2pi, as two real products over lags, with 1/2pi in the kernel weights.
@@ -57,12 +73,13 @@ def spectral_matrices(acv: AcvSequence, m: int) -> np.ndarray:
     lags = np.arange(1, m)  # the kernel weight vanishes at lag m
     weight = (1.0 - lags / m) / (2.0 * np.pi)
     arg = np.outer(fourier_frequencies(m), lags)
+    cos, sin = np.cos(arg)[block] * weight, np.sin(arg)[block] * weight
     stack = acv.matrices[1:m].reshape(m - 1, p * p)
-    out = np.empty((m + 1, p, p), dtype=complex)
-    part = ((np.cos(arg) * weight) @ stack).reshape(m + 1, p, p)
+    out = np.empty((len(cos), p, p), dtype=complex)
+    part = (cos @ stack).reshape(len(cos), p, p)
     np.add(part, part.transpose(0, 2, 1), out=out.real)
     out.real += acv.at(0) / (2.0 * np.pi)
-    np.matmul(np.sin(arg) * weight, stack, out=part.reshape(m + 1, p * p))
+    np.matmul(sin, stack, out=part.reshape(len(cos), p * p))
     np.subtract(part.transpose(0, 2, 1), part, out=out.imag)
     return out
 
@@ -75,7 +92,10 @@ def bartlett_spectral_density(
     Returns eigenvalues (m+1, p), descending, and eigenvectors (m+1, p, p)
     as matching columns.
     """
-    vals, vecs = np.linalg.eigh(spectral_matrices(acv, m))
+    vals = np.empty((m + 1, acv.p))
+    vecs = np.empty((m + 1, acv.p, acv.p), dtype=complex)
+    for block in _frequency_blocks(m, acv.p):
+        vals[block], vecs[block] = np.linalg.eigh(spectral_matrices(acv, m, block))
     return vals[:, ::-1], vecs[:, :, ::-1]
 
 
@@ -88,8 +108,9 @@ _ITERATIVE_MIN_P = 80
 _MAX_SWEEPS = 40
 
 
-def _leading_pairs(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The q >= 1 leading eigenpairs of each Hermitian matrix in ``stack``.
+def _leading_pairs(stack, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The q >= 1 leading eigenpairs of each Hermitian matrix in ``stack``, an
+    array or any iterable of matrices in frequency order.
 
     Block subspace iteration with a Rayleigh-Ritz step on q + 2 columns.
     Frequency 0 starts from the leading eigenvectors of Sigma(0), which is
@@ -100,13 +121,13 @@ def _leading_pairs(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     every frequency after it take the full ``eigh``. Returns eigenvalues
     (K, q), descending, and eigenvectors (K, p, q), up to phase.
     """
-    count, p, _ = stack.shape
-    width = min(p, q + 2)
-    vals = np.empty((count, q))
-    vecs = np.empty((count, p, q), dtype=complex)
-    basis = np.linalg.eigh(stack[0].real)[1][:, : -width - 1 : -1].astype(complex)
+    vals, vecs = [], []
+    basis = None
     stalled = False
-    for k, mat in enumerate(stack):
+    for mat in stack:
+        if basis is None:
+            width = min(len(mat), q + 2)
+            basis = np.linalg.eigh(mat.real)[1][:, : -width - 1 : -1].astype(complex)
         for _ in range(0 if stalled else _MAX_SWEEPS):
             image = mat @ basis
             theta, rot = np.linalg.eigh(np.conj(basis.T) @ image)
@@ -120,8 +141,9 @@ def _leading_pairs(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
             stalled = True
             theta, basis = np.linalg.eigh(mat)
             theta, basis = theta[::-1], basis[:, ::-1]
-        vals[k], vecs[k] = theta[:q], basis[:, :q]
-    return vals, vecs
+        vals.append(theta[:q])
+        vecs.append(basis[:, :q].copy())  # not a view that keeps a full eigh basis
+    return np.array(vals), np.array(vecs)
 
 
 def factor_adjust_unrestricted(
@@ -145,16 +167,23 @@ def factor_adjust_unrestricted(
         vals, vecs = bartlett_spectral_density(acv_x, m)
         vals, lead = vals[:, :q], vecs[:, :, :q]
     else:
-        vals, lead = _leading_pairs(spectral_matrices(acv_x, m), q)
-    common = (lead * vals[:, None, :]) @ np.conj(lead.transpose(0, 2, 1))
-    common = common.reshape(m + 1, p * p)
+        stream = (mat for b in _frequency_blocks(m, p) for mat in spectral_matrices(acv_x, m, b))
+        vals, lead = _leading_pairs(stream, q)
     k = np.arange(m + 1)
     arg = np.outer(k, fourier_frequencies(m))  # rows are lags 0..m
     # Each w > 0 also stands for -w.
     weight = np.where(k == 0, 1.0, 2.0) * (2.0 * np.pi / (2 * m + 1))
-    chi = (np.cos(arg) * weight) @ common.real - (np.sin(arg) * weight) @ common.imag
-    acv_chi = AcvSequence(chi.reshape(m + 1, p, p))
-    acv_xi = AcvSequence(acv_x.matrices - acv_chi.matrices)
+    cos, sin = np.cos(arg) * weight, np.sin(arg) * weight
+    scaled, adjoint = lead * vals[:, None, :], np.conj(lead.transpose(0, 2, 1))
+    # The common spectrum in row blocks of about _FREQ_BLOCK p^2 entries.
+    rows = max(1, _FREQ_BLOCK * p // (m + 1))
+    chi = np.empty((m + 1, p, p))
+    for i in range(0, p, rows):
+        common = (scaled[:, i : i + rows] @ adjoint).reshape(m + 1, -1)
+        chi[:, i : i + rows] = (cos @ common.real - sin @ common.imag).reshape(m + 1, -1, p)
+    del common  # freed before the subtraction allocates a stack
+    acv_chi = AcvSequence.adopt(chi)
+    acv_xi = AcvSequence.adopt(acv_x.matrices - chi)
     return FactorAdjustment(acv_x, acv_chi, acv_xi)
 
 
@@ -175,8 +204,8 @@ def factor_adjust_restricted(
     lead_vecs = vecs[:, ::-1][:, :r]
     proj = lead_vecs @ lead_vecs.T
     resid = np.eye(panel.p) - proj
-    acv_chi = AcvSequence(proj @ acv_x.matrices @ proj)
-    acv_xi = AcvSequence(resid @ acv_x.matrices @ resid)
+    acv_chi = AcvSequence.adopt(proj @ acv_x.matrices @ proj)
+    acv_xi = AcvSequence.adopt(resid @ acv_x.matrices @ resid)
     return FactorAdjustment(acv_x, acv_chi, acv_xi)
 
 

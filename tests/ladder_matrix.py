@@ -1,9 +1,10 @@
 """The factor-number ladder against the per-window oracle, over every design.
 
-For each (n, p) design, seed 1-5 and model kind in ``CASES``, the running-sum
-ladder of ``select_factor_number_ic`` must give the same q_hat, q_by_c and
-s_of_c as ``oracles.per_window_select_factor_number_ic``, which copies out
-every sub-panel and computes its autocovariances on their own. Tier-1 runs the
+For each (n, p) design, seed 1-5 and model kind in ``CASES``, one running-sum
+``ic_ladder`` must give, through ``ic_selection`` for each of the six criterion
+variants, the same q_hat, q_by_c, s_of_c, c_hat and stability warning as
+``oracles.per_window_select_factor_number_ic``, which copies out every
+sub-panel and computes its autocovariances on their own. Tier-1 runs the
 cases in ``FAST`` (tests/test_factor_number.py); the whole matrix runs as
 
     PYTHONPATH=src:tests python tests/ladder_matrix.py
@@ -14,7 +15,7 @@ import sys
 
 import numpy as np
 
-from fnets.factor_number import select_factor_number_ic
+from fnets.factor_number import ic_ladder, ic_selection
 from fnets.panel import TimeSeriesPanel
 from fnets.simulate import SimSpec, sim_unrestricted, sim_var
 from oracles import per_window_select_factor_number_ic
@@ -35,15 +36,19 @@ def ladder_panel(n: int, p: int, seed: int) -> TimeSeriesPanel:
 
 
 def mismatch(n: int, p: int, seed: int, kind: str) -> str | None:
-    """None when the ladder and the oracle agree exactly, else what differs."""
+    """None when the ladder and the oracle agree exactly on every variant,
+    else what differs."""
     panel = ladder_panel(n, p, seed)
-    got = select_factor_number_ic(panel, model_kind=kind)
-    want = per_window_select_factor_number_ic(panel, model_kind=kind)
-    bad = [
-        name
-        for name in ("q_hat", "q_by_c", "s_of_c", "c_hat", "stability_warning")
-        if not np.array_equal(getattr(got, name), getattr(want, name))
-    ]
+    ladder = ic_ladder(panel, kind)
+    bad = []
+    for variant in range(1, 7):
+        got = ic_selection(ladder, kind, variant)
+        want = per_window_select_factor_number_ic(panel, model_kind=kind, variant=variant)
+        bad += [
+            f"IC{variant} {name}"
+            for name in ("q_hat", "q_by_c", "s_of_c", "c_hat", "stability_warning")
+            if not np.array_equal(getattr(got, name), getattr(want, name))
+        ]
     return f"n={n} p={p} seed={seed} {kind}: {', '.join(bad)} differ" if bad else None
 
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from fnets import factor_number
 from fnets.cli import main
 from fnets.simulate import SimSpec, sim_restricted, sim_var
 from oracles import first_turn
@@ -412,6 +413,16 @@ class TestFactorsCommand:
         assert code == 0
         for variant in range(1, 7):
             assert f"IC{variant}:" in out
+
+    def test_one_ladder_for_all_variants(self, panel_csv, capsys, monkeypatch):
+        rungs = []
+        summary = factor_number.eigenvalue_summary
+        monkeypatch.setattr(
+            factor_number, "eigenvalue_summary", lambda *a: rungs.append(a) or summary(*a)
+        )
+        code, out, _ = run(capsys, "factors", panel_csv)
+        assert code == 0 and out.count("IC") == 6
+        assert len(rungs) == 10  # one ten-rung ladder
 
     def test_er_report(self, panel_csv, capsys):
         code, out, _ = run(capsys, "factors", panel_csv, "--method", "er")

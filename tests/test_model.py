@@ -453,9 +453,9 @@ class TestSharedAcv:
                 full.append(max_lag)
             return sample_acv(sample, max_lag)
 
-        def spectral_spy(acv, m):
+        def spectral_spy(acv, m, *block):
             stacks.append(m)
-            return spectral_matrices(acv, m)
+            return spectral_matrices(acv, m, *block)
 
         for mod in (model_mod, factor_number, spectral):
             monkeypatch.setattr(mod, "sample_acv", acv_spy)

@@ -150,6 +150,41 @@ class TestAcvSequence:
     def test_max_lag_is_stack_depth(self):
         assert AcvSequence(np.zeros((4, 2, 2))).max_lag == 3
 
+    def test_caller_array_is_copied(self, rng):
+        mats = rng.standard_normal((3, 2, 2))
+        acv = AcvSequence(mats)
+        assert mats.flags.writeable and not acv.matrices.flags.writeable
+        assert not np.shares_memory(acv.matrices, mats)
+        before = acv.matrices.copy()
+        mats[1, 0, 1] = 99.0
+        assert np.array_equal(acv.matrices, before)
+
+    def test_read_only_view_is_copied(self, rng):
+        base = rng.standard_normal((3, 2, 2))
+        view = base[:]
+        view.flags.writeable = False
+        assert not np.shares_memory(AcvSequence(view).matrices, base)
+
+    def test_package_stack_is_adopted(self, rng):
+        mats = rng.standard_normal((3, 2, 2))
+        acv = AcvSequence.adopt(mats)
+        assert np.shares_memory(acv.matrices, mats) and not mats.flags.writeable
+        panel = make_panel(rng.standard_normal((3, 40)), center=True)
+        acv = sample_acv(panel, 2)
+        assert np.shares_memory(AcvSequence(acv.matrices).matrices, acv.matrices)
+
+    @pytest.mark.parametrize("make", [AcvSequence, AcvSequence.adopt])
+    def test_checks_hold_for_adopted_stacks(self, make):
+        with pytest.raises(DimensionError):
+            make(np.zeros((2, 2, 3)))
+        with pytest.raises(DimensionError):
+            make(np.zeros((2, 2)))
+        for value in (np.nan, np.inf):
+            bad = np.zeros((2, 2, 2))
+            bad[1, 0, 0] = value
+            with pytest.raises(DataError):
+                make(bad)
+
     @given(st.integers(min_value=0, max_value=3))
     @settings(max_examples=20, deadline=None)
     def test_transpose_convention_property(self, lag):

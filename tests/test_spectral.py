@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_panel
-from fnets import spectral
+from fnets import factor_number, spectral
 from fnets.errors import DimensionError, UsageError
 from fnets.panel import AcvSequence, sample_acv
 from fnets.simulate import SimSpec, sim_unrestricted, sim_var
@@ -308,3 +310,36 @@ class TestLeadingPairs:
         weight = np.where(k == 0, 1.0, 2.0) * (2.0 * np.pi / (2 * m + 1))
         chi = (np.cos(arg) * weight) @ common.real - (np.sin(arg) * weight) @ common.imag
         assert np.array_equal(fa.acv_chi.matrices, chi.reshape(m + 1, p, p))
+
+
+class TestSpectralMemory:
+    """The spectral layer holds the ACV stacks plus one block of frequencies:
+    traced peaks above the inputs, in real ACV stacks of (m+1) p^2 doubles."""
+
+    @pytest.fixture(scope="class")
+    def panel_acv(self):
+        spec = SimSpec(n=500, p=100, q=2, seed=3)
+        panel = make_panel(sim_var(spec).data + sim_unrestricted(spec), center=True)
+        assert panel.p >= spectral._ITERATIVE_MIN_P
+        return panel, sample_acv(panel, default_bandwidth(panel.n))
+
+    @staticmethod
+    def peak_stacks(acv, call):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak / acv.matrices.nbytes
+
+    def test_eigenvalue_summary(self, panel_acv):
+        _, acv = panel_acv
+        call = lambda: factor_number.eigenvalue_summary(acv, acv.max_lag)  # noqa: E731
+        assert self.peak_stacks(acv, call) <= 1.5
+
+    def test_factor_adjust_with_its_two_output_stacks(self, panel_acv):
+        panel, acv = panel_acv
+        call = lambda: factor_adjust_unrestricted(panel, 2, acv.max_lag, acv)  # noqa: E731
+        assert self.peak_stacks(acv, call) <= 3.0
